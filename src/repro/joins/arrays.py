@@ -33,7 +33,7 @@ import numpy as np
 from repro import obs
 from repro.streams.tuples import Side, StreamBatch
 
-__all__ = ["AggKind", "BatchArrays", "WindowAggregate"]
+__all__ = ["AggKind", "BatchArrays", "WindowAggregate", "aggregate_of"]
 
 
 class AggKind(enum.Enum):
@@ -75,6 +75,39 @@ class WindowAggregate:
         raise ValueError(f"unknown aggregation {agg!r}")
 
 
+def negative_key_error(key: int) -> ValueError:
+    """The error every columnar ingest path raises for a negative join key
+    (count tables are indexed by key)."""
+    return ValueError(
+        "join keys must be non-negative integers (got a negative key: "
+        f"{key}); check the dataset generator"
+    )
+
+
+def aggregate_of(
+    keys: np.ndarray, is_r: np.ndarray, payload: np.ndarray, num_keys: int
+) -> WindowAggregate:
+    """Join aggregate of one set of tuples via per-key count tables.
+
+    The shared fold kernel: :meth:`BatchArrays.aggregate` applies it to a
+    window slice, :class:`repro.streaming.state.WindowJoinState` to its
+    appended columns.  ``keys`` must be non-negative and below
+    ``num_keys``; ``is_r`` is a boolean side mask.
+    """
+    n_r = int(is_r.sum())
+    n_s = int(len(keys) - n_r)
+    if n_r == 0 or n_s == 0:
+        return WindowAggregate(n_r, n_s, 0.0, 0.0)
+    r_keys = keys[is_r]
+    s_keys = keys[~is_r]
+    c_r = np.bincount(r_keys, minlength=num_keys)
+    c_s = np.bincount(s_keys, minlength=num_keys)
+    sum_rv = np.bincount(r_keys, weights=payload[is_r], minlength=num_keys)
+    matches = float(c_r @ c_s)
+    sum_r = float(sum_rv @ c_s)
+    return WindowAggregate(n_r, n_s, matches, sum_r)
+
+
 class BatchArrays:
     """Columnar arrays of a merged batch, event-sorted for window slicing.
 
@@ -105,10 +138,7 @@ class BatchArrays:
         self.arrival = arrival[order]
         self.key = key[order].astype(np.int64)
         if len(self.key) and int(self.key.min()) < 0:
-            raise ValueError(
-                "join keys must be non-negative integers (got a negative key: "
-                f"{int(self.key.min())}); check the dataset generator"
-            )
+            raise negative_key_error(int(self.key.min()))
         self.payload = payload[order]
         self.is_r = is_r[order]
         self.completion = self.arrival.copy()
@@ -310,24 +340,7 @@ class BatchArrays:
             keys = keys[avail]
             is_r = is_r[avail]
             payload = payload[avail]
-        return self._aggregate_of(keys, is_r, payload)
-
-    def _aggregate_of(
-        self, keys: np.ndarray, is_r: np.ndarray, payload: np.ndarray
-    ) -> WindowAggregate:
-        n_r = int(is_r.sum())
-        n_s = int(len(keys) - n_r)
-        if n_r == 0 or n_s == 0:
-            return WindowAggregate(n_r, n_s, 0.0, 0.0)
-        r_keys = keys[is_r]
-        s_keys = keys[~is_r]
-        minlength = self._num_keys
-        c_r = np.bincount(r_keys, minlength=minlength)
-        c_s = np.bincount(s_keys, minlength=minlength)
-        sum_rv = np.bincount(r_keys, weights=payload[is_r], minlength=minlength)
-        matches = float(c_r @ c_s)
-        sum_r = float(sum_rv @ c_s)
-        return WindowAggregate(n_r, n_s, matches, sum_r)
+        return aggregate_of(keys, is_r, payload, self._num_keys)
 
     def side_count(
         self,

@@ -21,13 +21,13 @@ Three operators share the machinery:
   reproducing KSJ's completeness/latency tradeoff);
 * :class:`StreamingPECJ` — proactive compensation: the full PECJ
   estimation flow (delay profile, Eq. 9 / additive blends, delay-shape
-  context, delayed ground-truth feedback) on incremental state.
+  context, delayed ground-truth feedback) on columnar window state.
 """
 
 from __future__ import annotations
 
-import collections
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +116,8 @@ class _StreamingBase:
         # Finalization involves the delay horizon, which can be costly to
         # recompute; check at most once per window of clock progress.
         self._next_final_check = -math.inf
+        # Clock reading from which advance() has work again (see _rewake).
+        self._wake = math.inf
 
     # -- hooks -------------------------------------------------------------
 
@@ -139,8 +141,7 @@ class _StreamingBase:
     def _widx(self, event_time: float) -> int:
         return int(math.floor(event_time / self.window_length))
 
-    def _state_for(self, event_time: float) -> WindowJoinState | None:
-        w = self._widx(event_time)
+    def _state_for(self, w: int) -> WindowJoinState | None:
         if self._next_final is not None and w < self._next_final:
             # Before anything has been emitted the cursors may still move
             # back (stream start under disorder: an older window's tuple
@@ -153,6 +154,7 @@ class _StreamingBase:
             )
             if untouched:
                 self._next_emit = self._next_final = w
+                self._rewake()
             else:
                 self.dropped_late += 1
                 return None
@@ -165,16 +167,23 @@ class _StreamingBase:
             if self._next_emit is None:
                 self._next_emit = w
                 self._next_final = w
+                self._rewake()
         return state
 
     def _ingest(self, t: StreamTuple) -> None:
-        state = self._state_for(t.event_time)
-        if state is not None:
-            state.add(t)
-            self._on_ingest(t)
-            w = self._widx(t.event_time)
-            if self._max_widx is None or w > self._max_widx:
-                self._max_widx = w
+        w = math.floor(t.event_time / self.window_length)
+        # A live state is never behind the finalization cursor, so
+        # _state_for would return it unchanged: look it up directly.
+        state = self._states.get(w)
+        if state is None:
+            state = self._state_for(w)
+            if state is None:
+                return
+        state.add(t)
+        self._on_ingest(t)
+        if self._max_widx is None or w > self._max_widx:
+            self._max_widx = w
+            self._rewake()
 
     def push(self, t: StreamTuple) -> list[WindowEmission]:
         """Ingest one tuple (arrival order) and return due emissions."""
@@ -182,14 +191,44 @@ class _StreamingBase:
             raise ValueError(
                 f"arrival clock went backwards: {t.arrival_time} < {self.clock}"
             )
-        emissions = self.advance(t.arrival_time)
+        emissions = self._tick(t.arrival_time)
         self._ingest(t)
         return emissions
 
+    def _tick(self, now: float) -> list[WindowEmission]:
+        """Move the clock to ``now``, calling :meth:`advance` only if due."""
+        if now > self.clock:
+            self.clock = now
+        return self.advance(now) if self.clock >= self._wake else []
+
     # -- clockwork -------------------------------------------------------------
+
+    def _rewake(self) -> None:
+        """Recompute ``_wake``, the clock reading from which advance has work.
+
+        ``advance`` does observable work only once the next window's
+        cutoff has passed (and that window is not past the newest one
+        holding data) or the throttled finalization check is due — the
+        check flushes delays into the PECJ profile and decays it.  Before
+        that it would only move the clock, so pushes skip it.  Called
+        whenever an input of the test changes.
+        """
+        w = self._next_emit
+        if w is None:
+            self._wake = math.inf
+            return
+        wake = self._next_final_check
+        if self._max_widx is not None and w <= self._max_widx:
+            wake = min(wake, w * self.window_length + self.omega)
+        self._wake = wake
 
     def advance(self, now: float) -> list[WindowEmission]:
         """Advance the virtual clock, emitting and finalizing due windows."""
+        emissions = self._advance(now)
+        self._rewake()
+        return emissions
+
+    def _advance(self, now: float) -> list[WindowEmission]:
         self.clock = max(self.clock, now)
         emissions: list[WindowEmission] = []
         if self._next_emit is None:
@@ -331,7 +370,7 @@ class StreamingKSJ(StreamingWMJ):
             # Adaptive k-slack (Ji et al.): K tracks the largest disorder
             # seen so far.
             self.buffer.slack = max(self.buffer.slack, t.delay)
-        emissions = self.advance(t.arrival_time)
+        emissions = self._tick(t.arrival_time)
         for released in self.buffer.push(t):
             self._ingest(released)
         return emissions
@@ -356,7 +395,7 @@ class StreamingKSJ(StreamingWMJ):
 
 
 class StreamingPECJ(_StreamingBase):
-    """Push-based PECJ: the full estimation flow on incremental state.
+    """Push-based PECJ: the full estimation flow on columnar window state.
 
     Mirrors :class:`repro.core.pecj.PECJoin` — online delay profile,
     per-bucket rate observations with distortion corrections, weighted
@@ -395,25 +434,41 @@ class StreamingPECJ(_StreamingBase):
         self._m_rel_var = 0.04
         #: (obs_r, obs_s, c_bar, m_hat) snapshots for completeness feedback.
         self._emit_obs: dict[int, tuple[int, int, float, float]] = {}
-        #: Recent (event_time, delay) pairs for the delay-shape context.
-        self._recent_delays: collections.deque[tuple[float, float]] = (
-            collections.deque(maxlen=4096)
-        )
-        # Per-push profile updates would allocate one array per tuple;
-        # batch them and flush before the profile is queried.
-        self._pending_delays: list[float] = []
+        # Event and arrival times of ingested tuples, in ingest order.  The
+        # profile absorbs the entries from _flushed on in one batch before
+        # it is queried (per-push updates would allocate an array per
+        # tuple); the delay-shape context reads the newest CONTEXT_TUPLES.
+        self._log_event = array("d")
+        self._log_arrival = array("d")
+        self._flushed = 0
+
+    #: Newest ingested tuples whose delays form the delay-shape context.
+    CONTEXT_TUPLES = 4096
 
     # -- observation machinery ----------------------------------------------
 
     def _on_ingest(self, t: StreamTuple) -> None:
-        delay = max(t.delay, 0.0)
-        self._pending_delays.append(delay)
-        self._recent_delays.append((t.event_time, delay))
+        self._log_event.append(t.event_time)
+        self._log_arrival.append(t.arrival_time)
+
+    def _log_delays(self, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Event times and clamped delays of the log entries from ``lo``."""
+        event = np.array(self._log_event[lo:])
+        return event, np.maximum(np.array(self._log_arrival[lo:]) - event, 0.0)
 
     def _flush_delays(self) -> None:
-        if self._pending_delays:
-            self.profile.update(np.asarray(self._pending_delays))
-            self._pending_delays.clear()
+        n = len(self._log_event)
+        if n == self._flushed:
+            return
+        self.profile.update(self._log_delays(self._flushed)[1])
+        self._flushed = n
+        # Everything is absorbed; only the context's tail must survive.
+        # Trimming in large steps keeps the memmove amortised.
+        if n > 8 * self.CONTEXT_TUPLES:
+            drop = n - self.CONTEXT_TUPLES
+            del self._log_event[:drop]
+            del self._log_arrival[:drop]
+            self._flushed -= drop
 
     def _horizon(self) -> float:
         self._flush_delays()
@@ -426,10 +481,10 @@ class StreamingPECJ(_StreamingBase):
         if not self.profile.is_warm or c_assumed <= 0.02:
             return neutral
         span_start = start - 4.0 * self.window_length
-        delays = [d for e, d in self._recent_delays if span_start <= e < end]
+        event, delays = self._log_delays(max(len(self._log_event) - self.CONTEXT_TUPLES, 0))
+        delays = delays[(span_start <= event) & (event < end)]
         if len(delays) < 10:
             return neutral
-        delays = np.asarray(delays)
         ratios = []
         for q in (0.25, 0.5, 0.75):
             a_q = self.profile.quantile_age(q * c_assumed)

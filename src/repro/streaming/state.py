@@ -1,136 +1,124 @@
-"""Incremental per-window join state for the push-based operators.
+"""Append-only columnar window state for the push-based operators.
 
-The batch layer (:mod:`repro.joins.arrays`) recomputes window aggregates
-from columnar arrays; a deployed operator cannot — it sees one tuple at a
-time and must maintain the join incrementally.  ``WindowJoinState`` is
-that structure: a per-key symmetric hash table from which every aggregate
-the compensation formulas need (``n_R``, ``n_S``, matches, joined-R
-payload sum) falls out in O(1) per arriving tuple:
-
-* an arriving R tuple with key ``k`` joins the ``cnt_S[k]`` S tuples
-  already present — matches grow by ``cnt_S[k]`` and the joined-R payload
-  sum by ``v * cnt_S[k]``;
-* an arriving S tuple joins the ``cnt_R[k]`` R tuples present — matches
-  grow by ``cnt_R[k]`` and the payload sum by ``sum_Rv[k]`` (every
-  present R tuple gains one more join partner).
+A push operator sees one tuple at a time, but reads a window's aggregates
+only a handful of times: at its emission cutoff, when k-slack peeks at its
+reorder buffer, and at finalization.  ``WindowJoinState`` is therefore an
+append-only buffer: :meth:`~WindowJoinState.add` checks the tuple's bounds
+and key and appends its key, payload, side code (``Side.R`` = 0,
+``Side.S`` = 1) and event time to typed ``array.array`` columns.  The
+aggregates the compensation formulas need — ``n_R``, ``n_S``, matches and
+the joined-R payload sum — are folded from the columns on first read by
+the batch layer's per-key count kernel
+(:func:`repro.joins.arrays.aggregate_of`), and PECJ's per-bucket counts by
+one more ``bincount``.  Both folds are cached until the next append.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
 
-from repro.joins.arrays import AggKind
+import numpy as np
+
+from repro.joins.arrays import AggKind, WindowAggregate, aggregate_of, negative_key_error
 from repro.streams.tuples import Side, StreamTuple
 
 __all__ = ["WindowJoinState"]
 
 
-@dataclass
-class _KeyEntry:
-    """Symmetric hash-table entry for one join key."""
-
-    cnt_r: int = 0
-    cnt_s: int = 0
-    sum_rv: float = 0.0
+def _folded(name: str, doc: str) -> property:
+    """A read-only view of one field of the cached :attr:`aggregate`."""
+    return property(lambda self: getattr(self.aggregate, name), doc=doc)
 
 
-@dataclass
 class WindowJoinState:
-    """Incrementally maintained join aggregates of one window.
+    """Tuples of one window, kept as columns and folded on demand.
 
-    Attributes:
-        start, end: The window's event-time bounds.
-        buckets: Per-sub-interval ``[cnt_r, cnt_s]`` observation counts
-            (what PECJ's rate estimation consumes).
+    Args:
+        start, end: The window's event-time bounds ``[start, end)``.
+        num_buckets: Sub-intervals of :attr:`buckets` (what PECJ's rate
+            estimation consumes).
     """
 
-    start: float
-    end: float
-    num_buckets: int = 10
-    _keys: dict[int, _KeyEntry] = field(default_factory=dict)
-    n_r: int = 0
-    n_s: int = 0
-    matches: float = 0.0
-    sum_r: float = 0.0
-    buckets: list[list[int]] = field(init=False)
-    #: Arrival times of ingested tuples (latency accounting).
-    arrivals: list[float] = field(default_factory=list)
+    __slots__ = (
+        "start", "end", "num_buckets",
+        "_key", "_payload", "_side", "_event", "_aggregate", "_buckets",
+    )
 
-    def __post_init__(self) -> None:
-        if self.num_buckets < 1:
+    def __init__(self, start: float, end: float, num_buckets: int = 10):
+        if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
-        self.buckets = [[0, 0] for _ in range(self.num_buckets)]
+        self.start = start
+        self.end = end
+        self.num_buckets = num_buckets
+        self._key = array("q")
+        self._payload = array("d")
+        self._side = array("b")
+        self._event = array("d")
+        self._aggregate: WindowAggregate | None = None
+        self._buckets: list[list[int]] | None = None
 
     @property
     def length(self) -> float:
-        """Number of tuples currently stored."""
+        """The window's event-time length ``end - start`` in ms."""
         return self.end - self.start
 
     def contains(self, event_time: float) -> bool:
-        """Whether any stored tuple carries the given key."""
+        """Whether ``event_time`` falls inside ``[start, end)``."""
         return self.start <= event_time < self.end
 
     def add(self, t: StreamTuple) -> None:
-        """Ingest one tuple (must belong to this window)."""
-        if not self.contains(t.event_time):
-            raise ValueError(
-                f"event {t.event_time} outside window [{self.start}, {self.end})"
-            )
-        entry = self._keys.get(t.key)
-        if entry is None:
-            entry = self._keys[t.key] = _KeyEntry()
-        if t.side is Side.R:
-            self.n_r += 1
-            self.matches += entry.cnt_s
-            self.sum_r += t.payload * entry.cnt_s
-            entry.cnt_r += 1
-            entry.sum_rv += t.payload
-        else:
-            self.n_s += 1
-            self.matches += entry.cnt_r
-            self.sum_r += entry.sum_rv
-            entry.cnt_s += 1
-        bucket = min(
-            int((t.event_time - self.start) / self.length * self.num_buckets),
-            self.num_buckets - 1,
-        )
-        self.buckets[bucket][0 if t.side is Side.R else 1] += 1
-        self.arrivals.append(t.arrival_time)
+        """Append one tuple (its event time must lie in this window)."""
+        event = t.event_time
+        if not self.start <= event < self.end:
+            raise ValueError(f"event {event} outside window [{self.start}, {self.end})")
+        key = t.key
+        if key < 0:
+            raise negative_key_error(key)
+        self._key.append(key)
+        self._payload.append(t.payload)
+        self._side.append(t.side)
+        self._event.append(event)
+        self._aggregate = self._buckets = None
 
     @property
-    def selectivity(self) -> float:
-        """Empirical join selectivity ``sigma`` of the stored window."""
-        denom = self.n_r * self.n_s
-        return self.matches / denom if denom > 0 else 0.0
+    def aggregate(self) -> WindowAggregate:
+        """Join aggregates of every tuple added so far (cached fold)."""
+        agg = self._aggregate
+        if agg is None:
+            keys = np.array(self._key, dtype=np.int64)
+            num_keys = int(keys.max()) + 1 if len(keys) else 1
+            is_r = np.array(self._side, dtype=np.int8) == Side.R
+            agg = self._aggregate = aggregate_of(keys, is_r, np.array(self._payload), num_keys)
+        return agg
 
     @property
-    def alpha_r(self) -> float:
-        """Fraction of stored tuples that belong to stream R."""
-        return self.sum_r / self.matches if self.matches > 0 else 0.0
+    def buckets(self) -> list[list[int]]:
+        """Per-sub-interval ``[cnt_r, cnt_s]`` counts (cached fold)."""
+        if self._buckets is None:
+            nb = self.num_buckets
+            event = np.array(self._event)
+            bucket = np.minimum(((event - self.start) / self.length * nb).astype(np.int64), nb - 1)
+            side = np.array(self._side, dtype=np.int64)
+            self._buckets = np.bincount(2 * bucket + side, minlength=2 * nb).reshape(nb, 2).tolist()
+        return self._buckets
+
+    n_r = _folded("n_r", "R tuples in the window.")
+    n_s = _folded("n_s", "S tuples in the window.")
+    matches = _folded("matches", "Joined pairs (the COUNT output).")
+    sum_r = _folded("sum_r", "Sum of joined R payloads (the SUM output).")
+    selectivity = _folded("selectivity", "Empirical join selectivity ``sigma``.")
+    alpha_r = _folded("alpha_r", "Average payload of joined R tuples.")
 
     def value(self, agg: AggKind) -> float:
-        """The (uncompensated) join output over the ingested tuples."""
-        if agg is AggKind.COUNT:
-            return float(self.matches)
-        if agg is AggKind.SUM:
-            return float(self.sum_r)
-        if agg is AggKind.AVG:
-            return self.alpha_r
-        raise ValueError(f"unknown aggregation {agg!r}")
-
-    @property
-    def distinct_keys(self) -> int:
-        """Number of distinct join keys stored."""
-        return len(self._keys)
+        """The (uncompensated) join output over the added tuples."""
+        return self.aggregate.value(agg)
 
     def clone(self) -> "WindowJoinState":
-        """Deep-enough copy for what-if evaluation (emission peeks)."""
+        """Independent copy for what-if evaluation (emission peeks)."""
         other = WindowJoinState(self.start, self.end, self.num_buckets)
-        other._keys = {k: _KeyEntry(e.cnt_r, e.cnt_s, e.sum_rv) for k, e in self._keys.items()}
-        other.n_r = self.n_r
-        other.n_s = self.n_s
-        other.matches = self.matches
-        other.sum_r = self.sum_r
-        other.buckets = [list(b) for b in self.buckets]
-        other.arrivals = list(self.arrivals)
+        other._key = self._key[:]
+        other._payload = self._payload[:]
+        other._side = self._side[:]
+        other._event = self._event[:]
+        other._aggregate = self._aggregate
         return other

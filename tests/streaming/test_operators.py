@@ -1,5 +1,9 @@
 """Tests for the push-based streaming operators."""
 
+import collections
+import math
+
+import numpy as np
 import pytest
 
 from repro.joins.arrays import AggKind
@@ -172,3 +176,117 @@ class TestDegenerateWindows:
         # ...but the empty window scores at most 1.
         assert gap.error <= 1.0
         assert op.mean_error < 1.0
+
+
+def grid_stream(seed=9, duration=800.0, rate=40.0):
+    """Arrivals rounded up to the 1 ms grid: they tie, and they land
+    exactly on emission cutoffs and finalization checks."""
+    tuples = [t.with_arrival(float(math.ceil(t.arrival_time)))
+              for t in arrival_stream(UniformDelay(8.0), seed, duration, rate)]
+    return sorted(tuples, key=lambda t: t.arrival_time)
+
+
+def always_advancing(cls):
+    """``cls`` with the old push clockwork: ``advance`` on every push."""
+
+    class AlwaysAdvance(cls):
+        def _tick(self, now):
+            return self.advance(now)
+
+    return AlwaysAdvance
+
+
+class TestSkippedAdvance:
+    """``push`` calls ``advance`` only when it has work; pushes that skip
+    it must leave exactly the state an ``advance`` call would have."""
+
+    @pytest.mark.parametrize("stream", [arrival_stream, grid_stream])
+    @pytest.mark.parametrize("cls", [StreamingWMJ, StreamingKSJ, StreamingPECJ])
+    @pytest.mark.parametrize("omega", [10.0, 15.0])
+    def test_same_outputs_as_advancing_every_push(self, stream, cls, omega):
+        fast = cls(10.0, omega)
+        slow = always_advancing(cls)(10.0, omega)
+        for t in stream(duration=400.0):
+            assert fast.push(t) == slow.push(t)
+            if cls is StreamingPECJ:
+                assert fast.profile.weight == slow.profile.weight
+        assert fast.finish() == slow.finish()
+        assert fast.scored == slow.scored
+        assert fast.dropped_late == slow.dropped_late
+        if cls is StreamingPECJ:
+            assert np.array_equal(fast.profile._counts, slow.profile._counts)
+
+    def test_stream_start_rewind_moves_the_next_cutoff(self):
+        """Before the first emission an older window's tuple rewinds the
+        emission cursor (omega > |W|); its earlier cutoff must fire on
+        time, not at the next finalization check."""
+        tuples = [
+            StreamTuple(0, 1.0, 10.0, 12.0, Side.R),  # opens window 1
+            StreamTuple(0, 1.0, 5.0, 13.0, Side.S),   # rewinds to window 0
+            StreamTuple(0, 1.0, 11.0, 16.0, Side.S),  # past window 0's cutoff
+            StreamTuple(0, 1.0, 6.0, 17.0, Side.R),
+        ]
+        fast = StreamingWMJ(10.0, 15.0)
+        slow = always_advancing(StreamingWMJ)(10.0, 15.0)
+        out = [fast.push(t) for t in tuples]
+        assert out == [slow.push(t) for t in tuples]
+        assert [e.window_start for e in out[2]] == [0.0]
+        assert out[2][0].observed == 1
+
+    def test_skips_most_pushes(self):
+        calls = []
+
+        class Counting(StreamingWMJ):
+            def advance(self, now):
+                calls.append(now)
+                return super().advance(now)
+
+        tuples = arrival_stream()
+        drive(Counting(10.0, 10.0), tuples)
+        assert len(calls) < len(tuples) / 20
+
+
+class TestDelayLog:
+    class DequeContext(StreamingPECJ):
+        """Checks every delay-shape context against the deque it replaced:
+        the last 4096 ingested ``(event, max(delay, 0))`` pairs."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.recent = collections.deque(maxlen=4096)
+            self.checked = 0
+
+        def _on_ingest(self, t):
+            super()._on_ingest(t)
+            self.recent.append((t.event_time, max(t.delay, 0.0)))
+
+        def _delay_context(self, start, end, now):
+            got = super()._delay_context(start, end, now)
+            c_assumed = self.profile.completeness(now - 0.5 * (start + end))
+            span_start = start - 4.0 * self.window_length
+            delays = [d for e, d in self.recent if span_start <= e < end]
+            if len(delays) >= 10 and self.profile.is_warm and c_assumed > 0.02:
+                delays = np.asarray(delays)
+                want = [c_assumed]
+                for q in (0.25, 0.5, 0.75):
+                    a_q = self.profile.quantile_age(q * c_assumed)
+                    want.append(1.0 if a_q <= 0.0 else
+                                min(max(float(np.mean(delays <= a_q)) / q, 0.0), 2.5))
+                assert got == tuple(want)
+                self.checked += 1
+            return got
+
+    def test_context_reads_the_last_4096_delays_across_log_trims(self):
+        tuples = arrival_stream(duration=1000.0)
+        op = self.DequeContext(10.0, 10.0)
+        drive(op, tuples)
+        assert op.checked > 50
+        # The log was trimmed (it holds far fewer entries than were pushed).
+        assert len(op._log_event) < len(tuples) / 2
+
+
+def test_negative_key_fails_loudly():
+    op = StreamingWMJ(10.0, 10.0)
+    op.push(StreamTuple(1, 1.0, 1.0, 2.0, Side.R))
+    with pytest.raises(ValueError, match="non-negative"):
+        op.push(StreamTuple(-1, 1.0, 1.0, 2.0, Side.S))
