@@ -19,6 +19,9 @@ backend can overcome.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 __all__ = ["DelayProfile"]
@@ -61,35 +64,54 @@ class DelayProfile:
         # cached values are exactly what the queries used to recompute,
         # so answers are bit-identical.
         self._cdf_cache: tuple[np.ndarray, float] | None = None
+        # Bin edges of the current span, the ones ``np.histogram`` would
+        # build for ``range=(0, span)``; keyed by span so a grow (or a
+        # restore that writes ``_span`` directly) rebuilds them.
+        self._edges: tuple[float, np.ndarray] | None = None
 
     # -- learning ---------------------------------------------------------
 
     def update(self, delays: np.ndarray) -> None:
-        """Absorb a batch of observed delays (ms, >= 0).
+        """Absorb a batch of observed delays (ms, finite and >= 0).
 
-        Every delay must be non-negative — the whole batch is validated
-        (and rejected without mutating any state) before a single count
-        is absorbed.  Checking only the maximum used to let a mixed-sign
-        batch through: ``np.histogram(range=(0, span))`` silently dropped
-        the negative delays from ``_counts`` while ``_total`` still
-        counted them, so the profile's weight disagreed with its
-        histogram mass and every arrived-fraction answer derived from the
-        polluted state was biased low.  Callers that observe raw
-        ``arrival - event`` gaps (which clock skew can drive below zero)
-        clamp to zero first — a tuple that arrived *early* has simply
-        arrived.
+        The whole batch is validated — and rejected with ``ValueError``
+        without mutating any state — before a single count is absorbed.
+        Every delay must be non-negative: checking only the maximum used
+        to let a mixed-sign batch through, leaving the profile's weight
+        ahead of its histogram mass and biasing every arrived-fraction
+        answer low.  Callers that observe raw ``arrival - event`` gaps
+        (which clock skew can drive below zero) clamp to zero first — a
+        tuple that arrived *early* has simply arrived.  Every delay must
+        also be finite: an infinite one would double the span forever,
+        and a NaN would count in the weight but land in no bin.
+
+        Each delay goes to the bin whose ``np.histogram`` edges
+        (``linspace(0, span, num_bins + 1)``) bracket it, found by one
+        ``searchsorted`` and counted by one ``np.bincount``.  numpy's
+        uniform-bin path scales each delay to an index and then moves
+        it by one bin where rounding broke ``edges[i] <= d <
+        edges[i + 1]`` against the same edges, so the counts equal
+        ``np.histogram(delays, bins=num_bins, range=(0, span))``'s
+        without its per-call set-up.
         """
         delays = np.asarray(delays, dtype=float)
         if delays.size == 0:
             return
+        dmin = float(delays.min())
         dmax = float(delays.max())
-        if float(delays.min()) < 0:
+        if not (math.isfinite(dmin) and math.isfinite(dmax)):
+            raise ValueError("delays must be finite")
+        if dmin < 0:
             raise ValueError("delays must be non-negative")
         self._max_seen = max(self._max_seen, dmax)
         while dmax >= self._span:
             self._grow()
-        hist, _ = np.histogram(delays, bins=self.num_bins, range=(0.0, self._span))
-        self._counts += hist
+        if self._edges is None or self._edges[0] != self._span:
+            self._edges = (
+                self._span, np.linspace(0.0, self._span, self.num_bins + 1)
+            )
+        bins = self._edges[1].searchsorted(delays, side="right") - 1
+        self._counts += np.bincount(bins, minlength=self.num_bins)
         self._total += float(delays.size)
         self._cdf_cache = None
 
@@ -179,6 +201,54 @@ class DelayProfile:
         )
         vals = np.minimum(1.0, (below + inside) / total)
         return np.where(ages <= 0.0, 0.0, np.where(ages >= self._span, 1.0, vals))
+
+    def mean_completeness(self, ages: Sequence[float]) -> float:
+        """Mean of the clipped completeness over non-empty ``ages``.
+
+        Bit-identical to ``float(np.mean(np.clip(self.completeness_many(
+        ages), 0.0, 1.0)))`` — the per-window compensation idiom — but
+        computed with Python scalars, which is several times cheaper on
+        the handful of bucket ages a window query averages.  Each age
+        follows :meth:`completeness_many`'s expressions, the clip keeps
+        numpy's NaN propagation (a poisoned profile must answer NaN, not
+        the 1.0 the scalar :meth:`completeness` would give), and the
+        values are summed with numpy's pairwise ``np.add.reduce`` so the
+        rounding matches ``np.mean``.  Pass a list: iterating an array
+        gives the same answer, only slower.
+        """
+        if not self.is_warm:
+            return 1.0
+        cdf, total = self._cdf()
+        if total <= 0.0:
+            return 1.0
+        counts = self._counts
+        nb = self.num_bins
+        span = self._span
+        bin_width = span / nb
+        vals = []
+        for age in ages:
+            if age <= 0.0:
+                vals.append(0.0)
+                continue
+            if age >= span:
+                vals.append(1.0)
+                continue
+            if age != age:
+                vals.append(math.nan)
+                continue
+            pos = age / bin_width
+            idx = min(int(pos), nb)
+            below = cdf[idx - 1] if idx > 0 else 0.0
+            inside = counts[idx] * (pos - idx) if idx < nb else 0.0
+            v = (below + inside) / total
+            # np.minimum(1.0, v) then np.clip(v, 0.0, 1.0); NaN and -0.0
+            # pass through both unchanged.
+            if v > 1.0:
+                v = 1.0
+            elif v < 0.0:
+                v = 0.0
+            vals.append(v)
+        return float(np.add.reduce(vals) / len(vals))
 
     def quantile_age(self, p: float) -> float:
         """Inverse CDF: the age by which a fraction ``p`` has arrived.

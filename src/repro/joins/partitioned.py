@@ -175,7 +175,7 @@ class HotKeyState:
     #: regimes where completeness drives the whole compensation.
     PROFILE_SHRINK = 256.0
 
-    def completeness(self, shared: DelayProfile, ages: np.ndarray) -> float:
+    def completeness(self, shared: DelayProfile, ages: list[float]) -> float:
         """Mean completeness over bucket ages, blending key and shared.
 
         Falls back to the shared profile entirely until the per-key
@@ -186,10 +186,10 @@ class HotKeyState:
         per-key profile weighted by its effective sample count against
         :data:`PROFILE_SHRINK` virtual shared samples.
         """
-        c_shared = float(np.mean(np.clip(shared.completeness_many(ages), 0.0, 1.0)))
+        c_shared = shared.mean_completeness(ages)
         if not self.profile.is_warm:
             return c_shared
-        c_own = float(np.mean(np.clip(self.profile.completeness_many(ages), 0.0, 1.0)))
+        c_own = self.profile.mean_completeness(ages)
         w = self.profile.weight
         return (w * c_own + self.PROFILE_SHRINK * c_shared) / (w + self.PROFILE_SHRINK)
 
@@ -698,11 +698,8 @@ class PartitionedPECJoin(PECJoin):
         mids = window.start + (np.arange(self.buckets_per_window) + 0.5) * (
             wlen / self.buckets_per_window
         )
-        ages = now - mids
-        c_shared = float(
-            np.mean(np.clip(self.profile.completeness_many(ages), 0.0, 1.0))
-        )
-        c_shared = max(c_shared, 1e-3)
+        ages = (now - mids).tolist()
+        c_shared = max(self.profile.mean_completeness(ages), 1e-3)
 
         hot_values: dict[int, float] = {}
         hot_r = hot_s = 0

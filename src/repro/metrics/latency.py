@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro import obs
 
 __all__ = ["percentile", "p95", "LatencyTracker"]
@@ -72,9 +74,23 @@ class LatencyTracker:
             self.record(emit_time, a)
 
     def extend(self, samples: Iterable[float]) -> None:
-        """Merge raw latency samples (e.g. from another tracker)."""
-        for s in samples:
-            self._samples.append(self._clamp(float(s)))
+        """Merge raw latency samples (e.g. from another tracker).
+
+        One vectorised clamp instead of a :meth:`record` per sample: a
+        window's latency batch is hundreds of samples.  NaN and ``-0.0``
+        pass through unclamped, exactly as ``_clamp`` leaves them.
+        """
+        arr = np.asarray(
+            samples if isinstance(samples, np.ndarray) else list(samples),
+            dtype=float,
+        )
+        negative = arr < 0.0
+        n_negative = int(np.count_nonzero(negative))
+        if n_negative:
+            self.negative_samples += n_negative
+            obs.counter("latency.negative_samples").inc(n_negative)
+            arr = np.where(negative, 0.0, arr)
+        self._samples.extend(arr.tolist())
 
     @property
     def samples(self) -> Sequence[float]:

@@ -13,6 +13,8 @@ storage modes answer the same queries:
   a binary search into the window's prefix state; retention eviction
   advances per-run frontiers and drops whole expired runs — the shard
   never re-sorts or re-aggregates data it has already absorbed.
+  Eviction is memoized on the horizon: it only moves on ingest, so a
+  query with nothing ingested since the last eviction skips the sweep.
 * ``rebuild="full"`` (the reference): concatenate all retained columns,
   re-argsort them in the ``BatchArrays`` constructor and rebuild the
   prefix-aggregate grid from scratch on the first query after new
@@ -219,6 +221,9 @@ class ShardStore:
         self._hot_lookup: np.ndarray | None = None
         self.migration_bytes = 0
         self._max_arrival = 0.0
+        # Horizon the incremental state was last advanced to, or None
+        # when tuples have been added since (see _advance_horizon).
+        self._advanced_to: float | None = None
         self.ingested = 0
         self.evicted = 0
         self.queries = 0
@@ -241,8 +246,9 @@ class ShardStore:
 
         Delays are learned as ``max(arrival - event, 0)`` — the profile
         rejects negative delays outright, and a tuple that arrived
-        early has simply arrived.  Keys outside ``[0, num_keys)`` are
-        rejected before any state is touched.
+        early has simply arrived.  Keys outside ``[0, num_keys)`` and
+        non-finite event or arrival times are rejected before any state
+        is touched.
         """
         if len(event) == 0:
             return
@@ -255,6 +261,10 @@ class ShardStore:
             raise ValueError(
                 f"shard {self.shard_id}: keys must lie in [0, {self.num_keys}), "
                 f"got [{int(key.min())}, {int(key.max())}]"
+            )
+        if not (np.isfinite(event).all() and np.isfinite(arrival).all()):
+            raise ValueError(
+                f"shard {self.shard_id}: event and arrival times must be finite"
             )
         if self.rebuild == "full":
             self._chunks.append((event, arrival, key, payload, is_r))
@@ -273,8 +283,9 @@ class ShardStore:
             if hot is not None:
                 self._append_run(self._hot.runs, hot, hot=True)
             obs.gauge("serve.shard.runs").set(float(len(self._runs)))
+            self._advanced_to = None
         self.profile.update(np.maximum(arrival - event, 0.0))
-        self._max_arrival = max(self._max_arrival, float(np.max(arrival)))
+        self._max_arrival = max(self._max_arrival, float(arrival.max()))
         self.ingested += len(event)
         obs.counter("serve.shard.ingested").inc(len(event))
 
@@ -364,8 +375,16 @@ class ShardStore:
         grid windows fully behind the horizon release their state in
         one dict deletion (with one window of float-fuzz slack — the
         query path re-checks ``start >= horizon`` regardless).
+
+        Memoized: the horizon only moves on ingest, so a second call at
+        the same horizon with nothing ingested since has nothing to
+        expire and returns at once.  Ingest and hot-key isolation clear
+        the memo (a late chunk can hold tuples already behind an
+        unchanged horizon); a restored shard starts without one.
         """
         horizon = self.horizon
+        if horizon == self._advanced_to:
+            return horizon
         newly = self._runs.advance_horizon(horizon)
         if newly:
             self.evicted += newly
@@ -383,6 +402,7 @@ class ShardStore:
                 math.floor((horizon - self._hot.grid.origin) / self._hot.grid.length)
                 - 1
             )
+        self._advanced_to = horizon
         return horizon
 
     def _ensure_grid(self) -> DeltaGrid:
@@ -566,6 +586,7 @@ class ShardStore:
                 if len(hot_cols[0]):
                     self._append_run(self._hot.runs, hot_cols, hot=True)
         self.hot_keys = new
+        self._advanced_to = None
         self.migration_bytes += moved_bytes
         obs.counter("partition.migration_bytes").inc(moved_bytes)
         obs.counter("serve.shard.hot_isolations").inc()
@@ -613,12 +634,16 @@ class ShardStore:
             return ShardAnswer(
                 observed, observed, observed_agg.n_r, observed_agg.n_s, starved, 1.0
             )
-        mids = start + (np.arange(_AGE_BUCKETS) + 0.5) * (end - start) / _AGE_BUCKETS
-        ages = available_by - mids
-        c_bar = float(np.mean(np.clip(self.profile.completeness_many(ages), 0.0, 1.0)))
+        width = end - start
+        c_bar = self.profile.mean_completeness(
+            [
+                available_by - (start + ((i + 0.5) * width) / _AGE_BUCKETS)
+                for i in range(_AGE_BUCKETS)
+            ]
+        )
         if not math.isfinite(c_bar):
             # A poisoned delay profile (forced estimator divergence)
-            # propagates NaN through completeness_many; max() below
+            # propagates NaN through mean_completeness; max() below
             # would pass it straight into compensate().  Surface a NaN
             # answer instead so the DegradationController's non-finite
             # check trips its hard-fallback path.

@@ -1,5 +1,7 @@
 """Tests for the online delay-distribution profile."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,21 @@ class TestLearning:
         after = (p.weight, float(p._counts.sum()), p.max_delay_seen, p._span)
         assert after == before
 
+    @pytest.mark.parametrize(
+        "batch",
+        [[np.inf], [1.0, np.nan], [-np.inf, 2.0], [3.0, np.inf, np.nan]],
+    )
+    def test_rejects_non_finite_delays_without_mutating(self, batch):
+        """An infinite delay used to double the span forever; a NaN was
+        counted in the weight but landed in no bin.  Both are rejected
+        up front and leave the profile exactly as it was."""
+        p = DelayProfile(min_weight=10.0, initial_span=8.0)
+        p.update(np.full(20, 2.0))
+        before = (p.weight, p._counts.tolist(), p.max_delay_seen, p._span)
+        with pytest.raises(ValueError, match="finite"):
+            p.update(np.array(batch))
+        assert (p.weight, p._counts.tolist(), p.max_delay_seen, p._span) == before
+
     def test_cdf_denominator_equals_weight(self):
         """The invariant the mixed-sign leak broke: every delay the
         profile counted is also in the histogram, so the CDF denominator
@@ -164,3 +181,143 @@ def test_horizon_covers_all_but_tail(delays):
     h = p.horizon(0.999)
     below = np.mean(np.asarray(delays) <= h + 1e-9)
     assert below >= 0.99
+
+
+# -- equivalence of the fast paths with the numpy expressions they replace --
+
+
+def histogram_update(p, delays):
+    """The ``np.histogram`` update that :meth:`DelayProfile.update` replaced."""
+    delays = np.asarray(delays, dtype=float)
+    if delays.size == 0:
+        return
+    p._max_seen = max(p._max_seen, float(delays.max()))
+    while float(delays.max()) >= p._span:
+        p._grow()
+    hist, _ = np.histogram(delays, bins=p.num_bins, range=(0.0, p._span))
+    p._counts += hist
+    p._total += float(delays.size)
+    p._cdf_cache = None
+
+
+#: One delay, resolved against the profile's span at update time:
+#: a bin edge as ``k * width`` or as numpy's ``linspace`` edge, the
+#: float just below an edge, a value just below ``span * 2**g``
+#: (growing the span ``g`` times first), or a free value up to three
+#: spans out.  Edges and their neighbours are where the scaled index
+#: lands one bin off and the fix-ups matter.
+_delay_specs = st.one_of(
+    st.tuples(st.just("edge"), st.integers(0, 300)),
+    st.tuples(st.just("below_edge"), st.integers(1, 300)),
+    st.tuples(st.just("linspace_edge"), st.integers(0, 300)),
+    st.tuples(st.just("below_span"), st.integers(0, 3)),
+    st.tuples(st.just("free"), st.floats(0.0, 3.0)),
+)
+
+
+def _resolve(spec, span, num_bins):
+    kind, v = spec
+    if kind == "edge":
+        return (v % (num_bins + 1)) * (span / num_bins)
+    if kind == "below_edge":
+        return float(np.nextafter((v % num_bins + 1) * (span / num_bins), 0.0))
+    if kind == "linspace_edge":
+        return float(np.linspace(0.0, span, num_bins + 1)[v % (num_bins + 1)])
+    if kind == "below_span":
+        return float(np.nextafter(span * 2.0**v, 0.0))
+    return v * span
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_bins=st.sampled_from([8, 10, 100, 128]),
+    initial_span=st.sampled_from([0.7, 3.0, 8.0, 10.0, 12.3]),
+    batches=st.lists(st.lists(_delay_specs, min_size=1, max_size=40), min_size=1, max_size=6),
+    decay_between=st.booleans(),
+)
+def test_bincount_update_equals_histogram(num_bins, initial_span, batches, decay_between):
+    fast = DelayProfile(num_bins=num_bins, initial_span=initial_span, decay=0.9)
+    ref = DelayProfile(num_bins=num_bins, initial_span=initial_span, decay=0.9)
+    for specs in batches:
+        delays = np.array([_resolve(s, fast._span, num_bins) for s in specs])
+        fast.update(delays)
+        histogram_update(ref, delays)
+        assert fast._span == ref._span
+        np.testing.assert_array_equal(fast._counts, ref._counts)
+        assert (fast.weight, fast.max_delay_seen) == (ref.weight, ref.max_delay_seen)
+        if decay_between:
+            fast.decay_step()
+            ref.decay_step()
+
+
+def numpy_mean_completeness(p, ages):
+    """The idiom :meth:`DelayProfile.mean_completeness` replaced."""
+    with np.errstate(invalid="ignore"):
+        return float(np.mean(np.clip(p.completeness_many(np.asarray(ages)), 0.0, 1.0)))
+
+
+def assert_same_float(got, want):
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+_age_fracs = st.one_of(
+    st.floats(-2.0, 2.5),
+    st.sampled_from([-1.0, 0.0, 1.0, 1.5]),
+    st.integers(0, 128).map(lambda k: k / 128.0),
+    st.just(math.nan),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    state=st.sampled_from(["cold", "warm", "grown", "decayed", "poisoned", "empty"]),
+    seed=st.integers(0, 2**16),
+    fracs=st.lists(_age_fracs, min_size=1, max_size=40),
+)
+def test_mean_completeness_equals_numpy_idiom(state, seed, fracs):
+    """Bit-identical for cold, warm and NaN-poisoned profiles, ages at
+    or below zero, at or past the span, on bin edges, and NaN."""
+    rng = np.random.default_rng(seed)
+    p = DelayProfile(min_weight=50.0)
+    if state == "cold":
+        p.update(rng.exponential(3.0, 20))
+    elif state != "empty":
+        p.update(rng.exponential(3.0, 400))
+    if state == "grown":
+        p.update(rng.uniform(0.0, 60.0, 100))
+    if state == "decayed":
+        for _ in range(3):
+            p.decay_step()
+    if state == "poisoned":
+        p._counts = np.full_like(p._counts, np.nan)
+        p._cdf_cache = None
+    ages = [f * p._span for f in fracs]
+    assert_same_float(p.mean_completeness(ages), numpy_mean_completeness(p, ages))
+    assert_same_float(
+        p.mean_completeness(np.asarray(ages)), numpy_mean_completeness(p, ages)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    fracs=st.lists(st.floats(0.001, 0.999), min_size=8, max_size=40),
+)
+def test_mean_completeness_sums_like_numpy(seed, fracs):
+    """From eight values on, numpy's pairwise sum rounds differently
+    from a left-to-right one; the mean must follow numpy's."""
+    p = warm_profile(np.random.default_rng(seed).exponential(3.0, 400))
+    ages = [f * p._span for f in fracs]
+    assert_same_float(p.mean_completeness(ages), numpy_mean_completeness(p, ages))
+
+
+def test_mean_completeness_of_poisoned_profile_is_nan():
+    """The scalar ``min(1.0, nan)`` would answer 1.0; the serve drill
+    relies on NaN getting through."""
+    p = warm_profile(np.random.default_rng(0).exponential(3.0, 200))
+    p._counts = np.full_like(p._counts, np.nan)
+    p._cdf_cache = None
+    assert math.isnan(p.mean_completeness([1.0, 2.0, 3.0]))

@@ -83,3 +83,39 @@ class TestLatencyTracker:
         assert t.negative_samples == 3
         assert reg.counter("latency.negative_samples").value == 3
         assert min(t.samples) == 0.0  # percentile data still clamped
+
+
+def loop_extend(tracker, samples):
+    """The per-sample loop ``LatencyTracker.extend`` replaced."""
+    for s in samples:
+        tracker._samples.append(tracker._clamp(float(s)))
+
+
+@given(
+    samples=st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, -1e-300, float("nan")]),
+        ),
+        max_size=60,
+    ),
+    as_array=st.booleans(),
+)
+def test_vectorised_extend_equals_loop(samples, as_array):
+    """Same samples bit for bit (NaN and ``-0.0`` kept, negatives to
+    ``+0.0``) and the same negative counts as the old per-sample loop."""
+    import numpy as np
+
+    from repro import obs
+
+    fast, slow = LatencyTracker(), LatencyTracker()
+    with obs.scoped() as fast_reg:
+        fast.extend(np.array(samples, dtype=float) if as_array else samples)
+    with obs.scoped() as slow_reg:
+        loop_extend(slow, samples)
+    assert np.array(fast.samples).tobytes() == np.array(slow.samples).tobytes()
+    assert all(type(s) is float for s in fast.samples)
+    assert fast.negative_samples == slow.negative_samples
+    assert (
+        fast_reg.snapshot()["counters"] == slow_reg.snapshot()["counters"]
+    )

@@ -238,6 +238,30 @@ class TestIngestContract:
             )
         assert len(shard) == 0 and shard.ingested == 0
 
+    @pytest.mark.parametrize("rebuild", ["runs", "full"])
+    @pytest.mark.parametrize(
+        "event, arrival",
+        [([1.0, 2.0], [3.0, np.inf]), ([np.nan, 2.0], [3.0, 4.0]),
+         ([1.0, 2.0], [np.nan, 4.0]), ([-np.inf, 2.0], [3.0, 4.0])],
+    )
+    def test_non_finite_times_rejected_before_mutation(self, rebuild, event, arrival):
+        """A non-finite time used to be appended to the runs before the
+        profile saw it; now the batch is refused with nothing touched."""
+        rng = np.random.default_rng(3)
+        shard = make_shard(rebuild=rebuild)
+        twin = make_shard(rebuild=rebuild)
+        cols = uniform_batch(rng, 200, 0.0, 50.0)
+        shard.ingest(*cols)
+        twin.ingest(*cols)
+        before = (len(shard), shard.ingested, shard.horizon, shard.profile.weight)
+        with pytest.raises(ValueError, match="finite"):
+            shard.ingest(
+                np.array(event), np.array(arrival), np.array([1, 2]),
+                np.array([1.0, 1.0]), np.array([True, False]),
+            )
+        assert (len(shard), shard.ingested, shard.horizon, shard.profile.weight) == before
+        assert shard.query(0.0, 50.0, 100.0) == twin.query(0.0, 50.0, 100.0)
+
     def test_rejects_unknown_rebuild_mode(self):
         with pytest.raises(ValueError):
             make_shard(rebuild="partial")

@@ -15,6 +15,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.joins.arrays import AggKind
 from repro.serve.shards import ShardStore
@@ -181,3 +183,106 @@ class TestCheckpointDuringCompaction:
         )
         assert np.all(np.diff(event) >= 0.0)
         assert len(event) == len(shard)
+
+
+# -- the horizon memo: no stale state survives an invalidating operation --
+
+#: Retention of the memo lockstep: short, so late chunks get behind
+#: the horizon within a few ticks.
+MEMO_RETENTION_MS = 250.0
+
+_tick = st.tuples(st.just("tick"), st.integers(1, 50))
+#: Ticks listed three times: they are what moves the horizon forward.
+_ops = st.one_of(
+    _tick,
+    _tick,
+    _tick,
+    st.tuples(st.just("late"), st.integers(1, 30)),
+    st.tuples(st.just("query"), st.integers(0, 5), st.integers(1, 3)),
+    st.tuples(st.just("isolate"), st.frozensets(st.integers(0, NUM_KEYS - 1), max_size=3)),
+    st.tuples(st.just("restore")),
+)
+
+
+def late_batch(rng, shard, n):
+    """Tuples whose events are already behind ``shard``'s horizon and
+    whose arrivals leave its newest arrival unchanged — full mode drops
+    them at its next rebuild, so the incremental shard must too."""
+    newest = shard._max_arrival
+    event = shard.horizon - rng.uniform(1.0, 150.0, n)
+    arrival = np.sort(rng.uniform(newest - TICK_MS, newest, n))
+    key = rng.integers(0, NUM_KEYS, n).astype(np.int64)
+    return event, arrival, key, rng.uniform(0.0, 2.0, n), rng.random(n) < 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    agg=st.sampled_from([AggKind.COUNT, AggKind.SUM]),
+    seed=st.integers(0, 2**16),
+    warmup=st.integers(0, 16),
+    ops=st.lists(_ops, min_size=5, max_size=80),
+)
+def test_horizon_memo_lockstep(agg, seed, warmup, ops):
+    """Back-to-back queries, late chunks behind an unchanged horizon,
+    hot-key isolation and restore, each followed by queries: the
+    incremental shard's ``evicted``, ``len`` and answers track full mode."""
+    rng = np.random.default_rng(seed)
+    inc, ref = make_pair(agg, MEMO_RETENTION_MS)
+    clock = 0.0
+    for step, op in enumerate([("tick", 30)] * warmup + ops):
+        kind = op[0]
+        if kind == "late" and clock <= MEMO_RETENTION_MS:
+            kind = "tick"  # nothing can be behind the horizon yet
+        if kind == "tick":
+            clock += TICK_MS
+            cols = arrival_batch(rng, clock, op[1])
+            inc.ingest(*cols)
+            ref.ingest(*cols)
+            continue
+        if kind == "late":
+            newest = inc._max_arrival
+            cols = late_batch(rng, inc, op[1])
+            inc.ingest(*cols)
+            ref.ingest(*cols)
+            assert inc._max_arrival == newest
+            repeats = 1
+        elif kind == "isolate":
+            inc.isolate_hot_keys(op[1])
+            repeats = 1
+        elif kind == "restore":
+            inc = ShardStore.restore(json.loads(json.dumps(inc.checkpoint())))
+            ref = ShardStore.restore(json.loads(json.dumps(ref.checkpoint())))
+            repeats = 1
+        else:
+            repeats = op[2]
+        back = float(op[1]) * WINDOW_MS if kind == "query" else 0.0
+        start = max(0.0, (clock // WINDOW_MS) * WINDOW_MS - back)
+        for _ in range(repeats):
+            a = inc.query(start, start + WINDOW_MS, clock + 20.0)
+            b = ref.query(start, start + WINDOW_MS, clock + 20.0)
+            ctx = (seed, step, kind, start, clock)
+            assert_answers_equal(a, b, agg, ctx)
+            assert_accounting_equal(inc, ref, ctx)
+
+
+def test_restored_shard_evicts_stale_snapshot_rows():
+    """A snapshot whose columns reach behind its own horizon (a
+    hand-built or edited one) restores into a shard that evicts those
+    rows at its first query, exactly as full mode does."""
+    rng = np.random.default_rng(17)
+    inc, _ = make_pair(AggKind.COUNT)
+    clock = 0.0
+    for _ in range(10):
+        clock += TICK_MS
+        inc.ingest(*arrival_batch(rng, clock, 40))
+    snap = json.loads(json.dumps(inc.checkpoint()))
+    snap["max_arrival"] += 400.0
+    restored = ShardStore.restore(snap)
+    ref = ShardStore.restore(dict(snap, rebuild="full"))
+    start = (clock // WINDOW_MS) * WINDOW_MS
+    for _ in range(2):
+        a = restored.query(start, start + WINDOW_MS, clock + 20.0)
+        b = ref.query(start, start + WINDOW_MS, clock + 20.0)
+        assert_answers_equal(a, b, AggKind.COUNT, "restore")
+        assert_accounting_equal(restored, ref, "restore")
+    assert restored.evicted > inc.evicted
