@@ -13,7 +13,7 @@ replacement and asserting equivalence before timing:
   zero-object columnar ``make_disordered_arrays``; columns are asserted
   identical first.
 * **estimator** — PECJ's per-bucket reference estimator loop
-  (``vectorized=False``) vs the fused multi-bucket numpy path, on a
+  (``tests/oracles/pecj_loop.py``) vs the fused multi-bucket numpy path, on a
   bucket grid dense enough (20 buckets/window) that the estimator loop
   dominates; window records are asserted byte-identical first.  Gated
   single-core at >= 1.3x in full mode.
@@ -55,6 +55,8 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# The repository root, for the test-only reference implementations.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 import numpy as np  # noqa: E402
 
@@ -80,6 +82,7 @@ from repro.streams.sources import (  # noqa: E402
     make_disordered_arrays,
     make_disordered_pair,
 )
+from tests.oracles.pecj_loop import PerBucketPECJoin  # noqa: E402
 
 #: (label, duration_ms, num_keys, window_length_ms).  2x50 tuples/ms, so
 #: 1000 ms ~= 100K tuples.  The last workload is the acceptance headline:
@@ -224,9 +227,9 @@ def estimator_workload(duration_ms, num_keys, repeats):
     length, omega = 10.0, 10.0
     t_start, t_end = 50.0, duration_ms - 50.0
 
-    def sweep(vectorized):
+    def sweep(cls):
         res = run_operator(
-            PECJoin(buckets_per_window=20, vectorized=vectorized),
+            cls(buckets_per_window=20),
             arrays,
             length,
             omega,
@@ -241,11 +244,11 @@ def estimator_workload(duration_ms, num_keys, repeats):
             ]
         )
 
-    assert sweep(True) == sweep(False), (
+    assert sweep(PECJoin) == sweep(PerBucketPECJoin), (
         "estimator: fused path diverged from per-bucket reference"
     )
-    t_ref = best_of(lambda: sweep(False), repeats)
-    t_fused = best_of(lambda: sweep(True), repeats)
+    t_ref = best_of(lambda: sweep(PerBucketPECJoin), repeats)
+    t_fused = best_of(lambda: sweep(PECJoin), repeats)
     n = len(arrays.event)
     row = {
         "workload": f"pecj_20bpw_{int(duration_ms)}ms",

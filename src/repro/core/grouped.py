@@ -82,6 +82,18 @@ class _SideRatePrior:
         alpha = mean * beta
         return (max(alpha, 1e-3), max(beta, 1e-3))
 
+    def filled_count(self, obs, c: float, window_len: float):
+        """Observed count plus the Gamma-Poisson fill of the unseen part.
+
+        With ``obs`` seen through a ``c``-thinning of a ``window_len``
+        window, the posterior mean rate is ``(alpha + obs) / (beta + c *
+        |W|)`` and the unseen remainder adds ``(1 - c)`` of it over the
+        window.  ``obs`` may be a scalar or an array of per-key counts.
+        """
+        alpha, beta = self.gamma_params()
+        lam_hat = (alpha + obs) / (beta + c * window_len)
+        return obs + (1.0 - c) * lam_hat * window_len
+
 
 class GroupedPECJoin:
     """Per-key compensated intra-window join.
@@ -176,7 +188,7 @@ class GroupedPECJoin:
     def _window_completeness(self, start: float, now: float) -> float:
         bucket_len = self.window_length / self.buckets_per_window
         ages = now - (start + (np.arange(self.buckets_per_window) + 0.5) * bucket_len)
-        return float(np.mean(self.profile.completeness_many(ages)))
+        return self.profile.mean_completeness(ages.tolist())
 
     # -- estimation ----------------------------------------------------------
 
@@ -195,17 +207,10 @@ class GroupedPECJoin:
             return GroupedEstimate(start, dict(observed), dict(observed))
 
         c = max(self._window_completeness(start, now), 1e-3)
-        n_hat_r = self._shrunk_counts(obs_r, self.prior_r, c)
-        n_hat_s = self._shrunk_counts(obs_s, self.prior_s, c)
+        n_hat_r = self.prior_r.filled_count(obs_r, c, self.window_length)
+        n_hat_s = self.prior_s.filled_count(obs_s, c, self.window_length)
         values = self._outputs(n_hat_r, n_hat_s, sum_rv, obs_r)
         return GroupedEstimate(start, values, dict(observed))
-
-    def _shrunk_counts(
-        self, obs: np.ndarray, prior: _SideRatePrior, c: float
-    ) -> np.ndarray:
-        alpha, beta = prior.gamma_params()
-        lam_hat = (alpha + obs) / (beta + c * self.window_length)
-        return obs + (1.0 - c) * lam_hat * self.window_length
 
     def _outputs(
         self,

@@ -16,6 +16,11 @@ Flow per emitted window (paper Sections 3-5):
 4. **Compensate** — closed forms from Section 3.2 produce the output
    ``O`` *as if the unobserved tuples had arrived*.
 
+Steps 3-4 and the learning half of step 2 live in :class:`PECJCore`,
+shared by the batch :class:`PECJoin` and the push-based
+:class:`~repro.streaming.StreamingPECJ`; each operator only decides which
+tuples a window has seen and when a window is final.
+
 The estimator backend is pluggable: ``aema`` (default analytical), ``svi``
 (gradient-based analytical) or ``mlp`` (learning-based, Section 5.2).
 """
@@ -28,14 +33,14 @@ import numpy as np
 
 from repro import obs
 from repro.obs import trace
-from repro.core.compensation import compensate, product_interval
+from repro.core.compensation import CompensatedEstimate, compensate, product_interval
 from repro.core.delay_profile import DelayProfile
 from repro.core.estimators.base import PosteriorEstimator
-from repro.joins.arrays import AggKind, BatchArrays
+from repro.joins.arrays import AggKind, BatchArrays, WindowAggregate
 from repro.joins.base import StreamJoinOperator
 from repro.streams.windows import Window
 
-__all__ = ["PECJoin", "make_estimator"]
+__all__ = ["PECJCore", "PECJoin", "make_estimator"]
 
 
 def make_estimator(backend: str, seed: int = 0) -> PosteriorEstimator:
@@ -55,104 +60,36 @@ def make_estimator(backend: str, seed: int = 0) -> PosteriorEstimator:
     raise ValueError(f"unknown PECJ backend {backend!r}")
 
 
-class PECJoin(StreamJoinOperator):
-    """Proactive Error Compensation Join.
+class PECJCore:
+    """PECJ's learned state and estimation steps, shared by both operators.
 
-    Args:
-        agg: The aggregation of the join output (COUNT / SUM / AVG).
-        backend: Estimator backend — ``aema`` (default), ``svi`` or
-            ``mlp``.
-        buckets_per_window: Sub-interval resolution for rate observations.
-        min_completeness: Buckets whose expected completeness is below
-            this are too distorted to observe; the prior covers them.
-        finalize_quantile: Delay-CDF quantile treated as "everything has
-            arrived" when finalizing past intervals.
-        learning_inference_ms: Per-emission inference latency charged when
-            the backend is a neural network (the paper measures ~90ms for
-            its MLP, Fig. 7a).  ``None`` picks 90 for ``mlp``, 0 otherwise.
-        use_delay_context: Feed the per-window delay-shape reading to
-            learning backends (ablation switch; analytical backends
-            ignore it either way).
-        origin: Event-time offset of the window grid this operator
-            serves.  Tumbling joins leave it at 0; the sliding-window
-            adapter runs one PECJ instance per slide phase, each with its
-            own origin (see :mod:`repro.joins.sliding`).
-        estimator_factory: Override backend construction (ablations).
-        seed: Seed forwarded to learned backends.
-        vectorized: Fuse the per-bucket estimator loops into vectorized
-            multi-bucket passes (one ``searchsorted`` + cumulative-sum
-            sweep per drain instead of one slice-and-mask per bucket,
-            and one :meth:`~repro.core.estimators.base.PosteriorEstimator.observe_many`
-            call per finalization batch).  Outputs are bit-identical to
-            the per-bucket loop — ``benchmarks/bench_hotpath.py`` asserts
-            so before gating the speedup; ``False`` keeps the reference
-            loop for that equivalence check.
+    A host operator sets ``agg``, ``backend`` and ``min_completeness``,
+    calls :meth:`_reset_core` to build the learned state, and feeds the
+    steps what it has seen of a window:
+
+    * :meth:`_delay_context_at` — the delay-shape context from a delay
+      sample around the window;
+    * :meth:`_rate_estimates` — window counts from per-bucket
+      ``(n_r, n_s, c)`` observations (Eq. 9 for analytical backends, the
+      additive inverse-variance fill for learning backends);
+    * :meth:`_compensate` — the selectivity/payload blend of the window's
+      own readings, then Section 3.2's closed form;
+    * :meth:`_output_interval` — the delta-method credible interval;
+    * :meth:`_window_feedback` — a finalized window's ground truth for
+      the estimators (including the learned completeness factor).
     """
 
-    name = "PECJ"
-    pipeline_method = "pecj"
+    agg: AggKind
+    backend: str
+    min_completeness: float
 
-    def __init__(
-        self,
-        agg: AggKind = AggKind.COUNT,
-        backend: str = "aema",
-        buckets_per_window: int = 10,
-        min_completeness: float = 0.05,
-        finalize_quantile: float = 0.995,
-        learning_inference_ms: float | None = None,
-        use_delay_context: bool = True,
-        origin: float = 0.0,
-        estimator_factory: Callable[[], PosteriorEstimator] | None = None,
-        seed: int = 0,
-        vectorized: bool = True,
-        debug: bool = False,
-    ):
-        super().__init__(agg)
-        if buckets_per_window < 1:
-            raise ValueError("buckets_per_window must be >= 1")
-        self.backend = backend
-        self.vectorized = vectorized
-        self.use_delay_context = use_delay_context
-        self.origin = origin
-        self.buckets_per_window = buckets_per_window
-        self.min_completeness = min_completeness
-        self.finalize_quantile = finalize_quantile
-        self.seed = seed
-        self._factory = estimator_factory or (lambda: make_estimator(backend, seed))
-        if learning_inference_ms is None:
-            learning_inference_ms = 90.0 if backend == "mlp" else 0.0
-        self.learning_inference_ms = learning_inference_ms
-        self.name = f"PECJ-{backend}"
-        self.debug = debug
-        self.debug_records: list[dict[str, float]] = []
-        #: 95% credible interval of the most recent compensated output
-        #: (None while cold).
-        self.last_interval: tuple[float, float] | None = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def prepare(self, arrays: BatchArrays, window_length: float, omega: float) -> None:
-        """Precompute batch orderings and rate priors; reset runtime cursors."""
-        self._wlen = window_length
-        self._omega = omega
-        self._bucket_len = window_length / self.buckets_per_window
+    def _reset_core(self, omega: float, make: Callable[[], PosteriorEstimator]) -> None:
+        """(Re)build the delay profile, the four estimators and the EMAs."""
         self.profile = DelayProfile(initial_span=max(8.0, omega))
-        self.rate_r = self._factory()
-        self.rate_s = self._factory()
-        self.sigma = self._factory()
-        self.alpha = self._factory()
-        # Delay-ingest cursor over completion-ordered tuples (the order is
-        # cached on the batch per completion version).
-        self._comp_order = arrays.completion_order()
-        self._comp_sorted = arrays.completion[self._comp_order]
-        self._ingest_cursor = 0
-        # Finalization cursors (bucket / window indices on the event axis).
-        if len(arrays):
-            t0 = float(arrays.event.min())
-        else:
-            t0 = 0.0
-        self._next_bucket = int(np.floor((t0 - self.origin) / self._bucket_len))
-        self._next_window = int(np.floor((t0 - self.origin) / self._wlen))
+        self.rate_r = make()
+        self.rate_s = make()
+        self.sigma = make()
+        self.alpha = make()
         self._matches_ema = 0.0
         self._m_ema: float | None = None
         # Relative variance of the learned completeness factor, tracked
@@ -161,166 +98,32 @@ class PECJoin(StreamJoinOperator):
         # Emission-time observation snapshots, kept until window
         # finalization so learning backends can be told the realised
         # completeness factor: window idx -> (obs_r, obs_s, c_bar, m_hat).
-        self._emitted: dict[int, tuple[int, int, float, float]] = {}
+        self._fill_snapshots: dict[int, tuple[int, int, float, float]] = {}
         # Whether the most recent rate estimate hit a clamp (observation
         # floor / negative prior), surfaced per window in trace samples.
         self._last_clamped = False
 
-    # -- observation machinery ----------------------------------------------
+    def _warm(self) -> bool:
+        """Whether there is compensation knowledge yet (else answer like WMJ)."""
+        return self.profile.is_warm and self.rate_r.is_warm and self.rate_s.is_warm
 
-    def _ingest_delays(self, arrays: BatchArrays, now: float) -> None:
-        hi = int(np.searchsorted(self._comp_sorted, now, side="right"))
-        if hi <= self._ingest_cursor:
-            return
-        idx = self._comp_order[self._ingest_cursor : hi]
-        delays = arrays.arrival[idx] - arrays.event[idx]
-        self.profile.update(np.maximum(delays, 0.0))
-        self._ingest_cursor = hi
-
-    def _bucket_counts(
-        self, arrays: BatchArrays, start: float, end: float, now: float
-    ) -> tuple[int, int]:
-        sl = arrays.window_slice(start, end)
-        avail = arrays.completion[sl] <= now
-        r = int((arrays.is_r[sl] & avail).sum())
-        s = int(((~arrays.is_r[sl]) & avail).sum())
-        return r, s
-
-    def _bucket_counts_many(
-        self,
-        arrays: BatchArrays,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        now: float,
-    ) -> tuple[list[int], list[int]]:
-        """Per-bucket available-tuple counts for a run of buckets.
-
-        One ``searchsorted`` pair resolves every bucket boundary and one
-        cumulative-sum sweep over the covered slice replaces the
-        per-bucket slice-and-mask of :meth:`_bucket_counts`.  All counts
-        are integer cumulative-sum differences over the same boolean
-        masks the scalar path reduces, so they are exactly equal — the
-        vectorized estimator path inherits byte-identity from here.
-        """
-        lo = np.searchsorted(arrays.event, starts, side="left")
-        hi = np.searchsorted(arrays.event, ends, side="left")
-        hi = np.maximum(hi, lo)
-        base = int(lo[0]) if len(lo) else 0
-        top = int(hi[-1]) if len(hi) else 0
-        if top <= base:
-            zeros = [0] * len(starts)
-            return zeros, list(zeros)
-        avail = arrays.completion[base:top] <= now
-        r_avail = arrays.is_r[base:top] & avail
-        cum_all = np.concatenate(([0], np.cumsum(avail)))
-        cum_r = np.concatenate(([0], np.cumsum(r_avail)))
-        n_r = cum_r[hi - base] - cum_r[lo - base]
-        n_all = cum_all[hi - base] - cum_all[lo - base]
-        return n_r.tolist(), (n_all - n_r).tolist()
-
-    def _finalize_buckets_fused(self, arrays: BatchArrays, first: int, now: float) -> None:
-        """Vectorized twin of the per-bucket finalize loop.
-
-        Buckets ``[first, self._next_bucket)`` are due; their counts come
-        from one :meth:`_bucket_counts_many` sweep and the estimators
-        absorb them in one :meth:`observe_many` call per stream side.
-        ``rate_r`` and ``rate_s`` are independent estimators, so feeding
-        each its whole batch preserves the per-estimator observation
-        order the scalar loop produces.
-        """
-        bs = np.arange(first, self._next_bucket)
-        starts = self.origin + bs * self._bucket_len
-        ends = starts + self._bucket_len
-        n_rs, n_ss = self._bucket_counts_many(arrays, starts, ends, now)
-        cs = self.profile.completeness_many(now - 0.5 * (starts + ends))
-        zs = np.ones_like(cs)
-        pos = cs > 0.0
-        zs[pos] = 1.0 / cs[pos]
-        blen = self._bucket_len
-        self.rate_r.observe_many([n / blen for n in n_rs], zs.tolist())
-        self.rate_s.observe_many([n / blen for n in n_ss], zs.tolist())
-
-    def _finalize(self, arrays: BatchArrays, now: float) -> None:
-        horizon = self.profile.horizon(self.finalize_quantile)
-        # Finalize rate buckets.
-        if self.vectorized:
-            first = self._next_bucket
-            while self.origin + (self._next_bucket + 1) * self._bucket_len + horizon <= now:
-                self._next_bucket += 1
-            if self._next_bucket > first:
-                self._finalize_buckets_fused(arrays, first, now)
-        else:
-            while self.origin + (self._next_bucket + 1) * self._bucket_len + horizon <= now:
-                b = self._next_bucket
-                start = self.origin + b * self._bucket_len
-                end = start + self._bucket_len
-                age = now - 0.5 * (start + end)
-                c = self.profile.completeness(age)
-                z = 1.0 / c if c > 0.0 else 1.0
-                n_r, n_s = self._bucket_counts(arrays, start, end, now)
-                self.rate_r.observe(n_r / self._bucket_len, z)
-                self.rate_s.observe(n_s / self._bucket_len, z)
-                self._next_bucket += 1
-        # Finalize whole windows: ground truth for sigma/alpha (+feedback).
-        while self.origin + (self._next_window + 1) * self._wlen + horizon <= now:
-            w = self._next_window
-            start = self.origin + w * self._wlen
-            end = start + self._wlen
-            agg = self.window_aggregate(arrays, start, end, now)
-            if agg.n_r > 0 and agg.n_s > 0:
-                self.sigma.observe(agg.selectivity, 1.0)
-                self.sigma.feedback(w, agg.selectivity)
-            if agg.matches > 0:
-                self.alpha.observe(agg.alpha_r, 1.0)
-                self.alpha.feedback(w, agg.alpha_r)
-                if self._matches_ema <= 0.0:
-                    self._matches_ema = agg.matches
-                else:
-                    self._matches_ema = 0.95 * self._matches_ema + 0.05 * agg.matches
-            self.rate_r.feedback(w, agg.n_r / self._wlen)
-            self.rate_s.feedback(w, agg.n_s / self._wlen)
-            emitted = self._emitted.pop(w, None)
-            if emitted is not None:
-                obs_r, obs_s, c_bar, m_hat = emitted
-                if c_bar > 0.0:
-                    if agg.n_r > 0:
-                        m_true_r = (obs_r / agg.n_r) / c_bar
-                        self.rate_r.feedback_completeness(w, m_true_r)
-                        if m_hat > 0.0:
-                            rel = (m_true_r - m_hat) / m_hat
-                            self._m_rel_var = 0.97 * self._m_rel_var + 0.03 * rel * rel
-                    if agg.n_s > 0:
-                        self.rate_s.feedback_completeness(w, (obs_s / agg.n_s) / c_bar)
-            self._next_window += 1
-
-    # -- estimation ----------------------------------------------------------
-
-    def _delay_context(
-        self, arrays: BatchArrays, window: Window, now: float
+    def _delay_context_at(
+        self, age: float, sample: Callable[[], np.ndarray] | None
     ) -> tuple[float, float, float, float]:
-        """Delay-shape reading of the current window (see estimator base).
+        """Delay-shape reading of a window whose midpoint is ``age`` old.
 
-        Compares the empirical CDF of the delays observed *in this window*
-        against the long-run profile at three truncated quantiles.  Ratios
-        near 1 mean the window matches the long-run dynamics; deviations
-        reveal the current regime.  Only learning backends consume this.
+        Compares the empirical CDF of the delays ``sample()`` returns (those
+        observed around the window) against the long-run profile at three
+        truncated quantiles.  Ratios near 1 mean the window matches the
+        long-run dynamics; deviations reveal the current regime.  ``sample``
+        is only called once the profile is warm; ``None`` skips the reading.
+        Only learning backends consume it.
         """
-        age = now - 0.5 * (window.start + window.end)
         c_assumed = self.profile.completeness(age)
         neutral = (c_assumed, 1.0, 1.0, 1.0)
-        if not self.use_delay_context:
+        if sample is None or not self.profile.is_warm or c_assumed <= 0.02:
             return neutral
-        if not self.profile.is_warm or c_assumed <= 0.02:
-            return neutral
-        # Sample delays over several recent windows: regimes persist much
-        # longer than one window, and a wider sample cuts the quantile
-        # ratios' measurement noise (which multiplies straight into the
-        # learned regime factor).  The age mix adds a stable offset that
-        # the downstream learner absorbs.
-        span_start = window.start - 4.0 * window.length
-        sl = arrays.window_slice(span_start, window.end)
-        avail = arrays.completion[sl] <= now
-        delays = (arrays.arrival[sl] - arrays.event[sl])[avail]
+        delays = sample()
         if len(delays) < 10:
             return neutral
         ratios = []
@@ -333,41 +136,61 @@ class PECJoin(StreamJoinOperator):
             ratios.append(min(max(f_q / q, 0.0), 2.5))
         return (c_assumed, ratios[0], ratios[1], ratios[2])
 
-    def _window_bucket_sweep(
-        self, arrays: BatchArrays, window: Window, now: float
-    ) -> list[tuple[float, int, int, float]]:
-        """``(start, n_r, n_s, c)`` for each bucket of ``window``.
+    def _set_context(self, context: tuple[float, float, float, float]) -> None:
+        """Hand the window's delay-shape context to all four estimators."""
+        for est in (self.rate_r, self.rate_s, self.sigma, self.alpha):
+            est.set_context(context)
 
-        Counts are taken over ``[start, min(start + bucket_len,
-        window.end))`` and the completeness ``c`` at the age of the
-        *unclipped* bucket midpoint, as in the scalar loops.  The
-        vectorized path batches every bucket into one
-        :meth:`_bucket_counts_many` call and one
-        :meth:`~repro.core.delay_profile.DelayProfile.completeness_many`
-        lookup; ``vectorized=False`` keeps the per-bucket reference loop
-        the equivalence tests diff against.
+    def _rate_estimates(
+        self,
+        widx: int,
+        n_rs: list[int],
+        n_ss: list[int],
+        cs: list[float],
+        bucket_len: float,
+        length: float,
+    ) -> tuple[float, float, int, int]:
+        """``(n_hat_r, n_hat_s, obs_r, obs_s)`` for window ``widx``.
+
+        ``n_rs``/``n_ss`` are each bucket's available tuple counts and
+        ``cs`` its expected completeness.  Analytical backends blend the
+        buckets' distortion-corrected rates into the prior (Eq. 9);
+        learning backends take :meth:`_additive_rate_estimates`.
         """
-        first_bucket = int(round((window.start - self.origin) / self._bucket_len))
-        if self.vectorized:
-            bs = np.arange(first_bucket, first_bucket + self.buckets_per_window)
-            starts = self.origin + bs * self._bucket_len
-            ends = starts + self._bucket_len
-            n_rs, n_ss = self._bucket_counts_many(
-                arrays, starts, np.minimum(ends, window.end), now
-            )
-            cs = self.profile.completeness_many(now - 0.5 * (starts + ends))
-            return list(zip(starts.tolist(), n_rs, n_ss, cs.tolist()))
-        out = []
-        for b in range(first_bucket, first_bucket + self.buckets_per_window):
-            start = self.origin + b * self._bucket_len
-            end = start + self._bucket_len
-            n_r, n_s = self._bucket_counts(arrays, start, min(end, window.end), now)
-            age = now - 0.5 * (start + end)
-            out.append((start, n_r, n_s, self.profile.completeness(age)))
-        return out
+        if self.rate_r.completeness_factor() is not None:
+            return self._additive_rate_estimates(widx, n_rs, n_ss, cs, bucket_len, length)
+        xs_r: list[float] = []
+        xs_s: list[float] = []
+        zs: list[float] = []
+        for n_r, n_s, c in zip(n_rs, n_ss, cs):
+            if c < self.min_completeness:
+                continue
+            xs_r.append(n_r / bucket_len)
+            xs_s.append(n_s / bucket_len)
+            zs.append(1.0 / c)
+        obs_r = sum(n_rs)
+        obs_s = sum(n_ss)
+        mu_r = self.rate_r.blend(xs_r, zs, tag=widx)
+        mu_s = self.rate_s.blend(xs_s, zs, tag=widx)
+        obs.counter(f"pecj.{self.backend}.blend_calls").inc(2)
+        self._last_clamped = float(obs_r) > mu_r * length or float(obs_s) > mu_s * length
+        if self._last_clamped:
+            # The posterior rate undershoots what was already observed;
+            # the observation floor wins (a sign the prior lags the
+            # stream, worth watching per backend).
+            obs.counter(f"pecj.{self.backend}.clamp.rate_floor").inc()
+        n_hat_r = max(mu_r * length, float(obs_r))
+        n_hat_s = max(mu_s * length, float(obs_s))
+        return n_hat_r, n_hat_s, obs_r, obs_s
 
     def _additive_rate_estimates(
-        self, arrays: BatchArrays, window: Window, now: float, widx: int
+        self,
+        widx: int,
+        n_rs: list[int],
+        n_ss: list[int],
+        cs: list[float],
+        bucket_len: float,
+        length: float,
     ) -> tuple[float, float, int, int]:
         """Learning-backend path: ``n_hat = n_obs + (1 - c_hat) * mu * len``.
 
@@ -395,19 +218,15 @@ class PECJoin(StreamJoinOperator):
             m_hat = 0.5 * self._m_ema + 0.5 * m_hat
         self._m_ema = m_hat
 
-        obs_r = 0
-        obs_s = 0
+        obs_r = sum(n_rs)
+        obs_s = sum(n_ss)
         missing_time = 0.0
-        c_sum = 0.0
-        for start, n_r, n_s, c_b in self._window_bucket_sweep(arrays, window, now):
-            obs_r += n_r
-            obs_s += n_s
-            c_sum += c_b
+        for c_b in cs:
             c_hat = min(max(m_hat * c_b, 0.0), 1.0)
-            missing_time += (1.0 - c_hat) * self._bucket_len
-        c_bar = c_sum / self.buckets_per_window
-        c_hat_bar = 1.0 - missing_time / window.length
-        self._emitted[widx] = (obs_r, obs_s, c_bar, m_hat)
+            missing_time += (1.0 - c_hat) * bucket_len
+        c_bar = sum(cs) / len(cs)
+        c_hat_bar = 1.0 - missing_time / length
+        self._fill_snapshots[widx] = (obs_r, obs_s, c_bar, m_hat)
 
         # Fill the unseen remainder at a rate that combines two estimates
         # by inverse variance: (1) the current window's own observations
@@ -419,7 +238,7 @@ class PECJoin(StreamJoinOperator):
         for n_obs, mu, est in ((obs_r, mu_r, self.rate_r), (obs_s, mu_s, self.rate_s)):
             fill = mu
             if c_hat_bar >= 0.05:
-                est1 = n_obs / (c_hat_bar * window.length)
+                est1 = n_obs / (c_hat_bar * length)
                 rel_var1 = (1.0 - c_hat_bar) / (c_hat_bar * max(n_obs, 1.0))
                 rel_var1 += self._m_rel_var
                 sd2 = getattr(est, "residual_std", lambda: 0.0)()
@@ -436,98 +255,16 @@ class PECJoin(StreamJoinOperator):
         self._last_missing = missing_time
         return n_hat[0], n_hat[1], obs_r, obs_s
 
-    def _window_rate_estimates(
-        self, arrays: BatchArrays, window: Window, now: float
-    ) -> tuple[float, float, int, int]:
-        widx = int(round((window.start - self.origin) / self._wlen))
-        if self.rate_r.completeness_factor() is not None:
-            return self._additive_rate_estimates(arrays, window, now, widx)
-        xs_r: list[float] = []
-        xs_s: list[float] = []
-        zs: list[float] = []
-        obs_r = 0
-        obs_s = 0
-        for start, n_r, n_s, c in self._window_bucket_sweep(arrays, window, now):
-            obs_r += n_r
-            obs_s += n_s
-            if c < self.min_completeness:
-                continue
-            xs_r.append(n_r / self._bucket_len)
-            xs_s.append(n_s / self._bucket_len)
-            zs.append(1.0 / c)
-        widx = int(round((window.start - self.origin) / self._wlen))
-        mu_r = self.rate_r.blend(xs_r, zs, tag=widx)
-        mu_s = self.rate_s.blend(xs_s, zs, tag=widx)
-        obs.counter(f"pecj.{self.backend}.blend_calls").inc(2)
-        self._last_clamped = (
-            float(obs_r) > mu_r * window.length
-            or float(obs_s) > mu_s * window.length
-        )
-        if self._last_clamped:
-            # The posterior rate undershoots what was already observed;
-            # the observation floor wins (a sign the prior lags the
-            # stream, worth watching per backend).
-            obs.counter(f"pecj.{self.backend}.clamp.rate_floor").inc()
-        n_hat_r = max(mu_r * window.length, float(obs_r))
-        n_hat_s = max(mu_s * window.length, float(obs_s))
-        return n_hat_r, n_hat_s, obs_r, obs_s
+    def _compensate(
+        self, widx: int, n_hat_r: float, n_hat_s: float, observed: WindowAggregate
+    ) -> tuple[CompensatedEstimate, float, float, float | None]:
+        """Blend ``sigma``/``alpha`` with the window's readings, then compensate.
 
-    def _output_interval(self, est) -> tuple[float, float]:
-        """Delta-method credible interval for the compensated output.
-
-        Propagates each factor's posterior standard deviation (paper
-        Eq. 10 gives the per-statistic intervals; the product interval
-        follows by summing relative variances).
+        Returns the compensated estimate, the posterior ``sigma`` and
+        ``alpha`` before clamping, and the weight of the window's own
+        selectivity reading (``None`` when it had none).
         """
-
-        def sd_of(estimator) -> float:
-            lo, hi = estimator.credible_interval(1.96)
-            return max(hi - lo, 0.0) / (2 * 1.96)
-
-        factors = [
-            (est.sigma, sd_of(self.sigma)),
-            (est.n_r, sd_of(self.rate_r) * self._wlen),
-            (est.n_s, sd_of(self.rate_s) * self._wlen),
-        ]
-        if self.agg is AggKind.SUM:
-            factors.append((est.alpha_r, sd_of(self.alpha)))
-        elif self.agg is AggKind.AVG:
-            factors = [(est.alpha_r, sd_of(self.alpha))]
-        means = [m for m, _ in factors]
-        stds = [s for _, s in factors]
-        lo, hi = product_interval(means, stds)
-        return (max(lo, 0.0) if self.agg is not AggKind.AVG else lo, hi)
-
-    def process_window(
-        self, arrays: BatchArrays, window: Window, available_by: float
-    ) -> tuple[float, float]:
-        """Emit the window's compensated aggregate at its cutoff (Section 4)."""
-        now = available_by
-        self._ingest_delays(arrays, now)
-        self._finalize(arrays, now)
-        self.profile.decay_step()
-
-        observed = self.window_aggregate(arrays, window.start, window.end, now)
-        extra = self.learning_inference_ms
-
-        # Cold start: no compensation knowledge yet — answer like WMJ.
-        if not (self.profile.is_warm and self.rate_r.is_warm and self.rate_s.is_warm):
-            self.last_interval = None
-            obs.counter(f"pecj.{self.backend}.cold_windows").inc()
-            trace.instant(
-                "pecj.cold", now, cat="estimator", track=f"pecj.{self.backend}",
-                args={"window_start": float(window.start)},
-            )
-            return observed.value(self.agg), extra
-        obs.counter(f"pecj.{self.backend}.compensated_windows").inc()
-
-        context = self._delay_context(arrays, window, now)
-        for est in (self.rate_r, self.rate_s, self.sigma, self.alpha):
-            est.set_context(context)
-
-        n_hat_r, n_hat_s, obs_r, obs_s = self._window_rate_estimates(arrays, window, now)
-
-        widx = int(round((window.start - self.origin) / self._wlen))
+        w_sigma = None
         if observed.n_r > 0 and observed.n_s > 0:
             # Weight the window's own selectivity reading by how much of
             # the expected join evidence it carries.
@@ -554,7 +291,312 @@ class PECJoin(StreamJoinOperator):
                 alpha_hat = self.alpha.estimate()
 
         est = compensate(self.agg, n_hat_r, n_hat_s, sigma_hat, alpha_hat)
-        self.last_interval = self._output_interval(est)
+        return est, sigma_hat, alpha_hat, w_sigma
+
+    def _output_interval(self, est: CompensatedEstimate, length: float) -> tuple[float, float]:
+        """Delta-method credible interval for the compensated output.
+
+        Propagates each factor's posterior standard deviation (paper
+        Eq. 10 gives the per-statistic intervals; the product interval
+        follows by summing relative variances).  ``length`` converts the
+        rate deviations into count deviations.
+        """
+
+        def sd_of(estimator) -> float:
+            lo, hi = estimator.credible_interval(1.96)
+            return max(hi - lo, 0.0) / (2 * 1.96)
+
+        factors = [
+            (est.sigma, sd_of(self.sigma)),
+            (est.n_r, sd_of(self.rate_r) * length),
+            (est.n_s, sd_of(self.rate_s) * length),
+        ]
+        if self.agg is AggKind.SUM:
+            factors.append((est.alpha_r, sd_of(self.alpha)))
+        elif self.agg is AggKind.AVG:
+            factors = [(est.alpha_r, sd_of(self.alpha))]
+        means = [m for m, _ in factors]
+        stds = [s for _, s in factors]
+        lo, hi = product_interval(means, stds)
+        return (max(lo, 0.0) if self.agg is not AggKind.AVG else lo, hi)
+
+    def _window_feedback(self, widx: int, truth: WindowAggregate, length: float) -> None:
+        """Feed finalized window ``widx``'s ground truth to the estimators.
+
+        ``sigma``/``alpha`` observe the window's selectivity and payload
+        mean, every estimator gets delayed feedback on the tag it blended
+        under, and learning backends are told the completeness factor the
+        window realised against its emission snapshot.
+        """
+        if truth.n_r > 0 and truth.n_s > 0:
+            self.sigma.observe(truth.selectivity, 1.0)
+            self.sigma.feedback(widx, truth.selectivity)
+        if truth.matches > 0:
+            self.alpha.observe(truth.alpha_r, 1.0)
+            self.alpha.feedback(widx, truth.alpha_r)
+            if self._matches_ema <= 0.0:
+                self._matches_ema = truth.matches
+            else:
+                self._matches_ema = 0.95 * self._matches_ema + 0.05 * truth.matches
+        self.rate_r.feedback(widx, truth.n_r / length)
+        self.rate_s.feedback(widx, truth.n_s / length)
+        snapshot = self._fill_snapshots.pop(widx, None)
+        if snapshot is not None:
+            obs_r, obs_s, c_bar, m_hat = snapshot
+            if c_bar > 0.0:
+                if truth.n_r > 0:
+                    m_true_r = (obs_r / truth.n_r) / c_bar
+                    self.rate_r.feedback_completeness(widx, m_true_r)
+                    if m_hat > 0.0:
+                        rel = (m_true_r - m_hat) / m_hat
+                        self._m_rel_var = 0.97 * self._m_rel_var + 0.03 * rel * rel
+                if truth.n_s > 0:
+                    self.rate_s.feedback_completeness(widx, (obs_s / truth.n_s) / c_bar)
+
+
+class PECJoin(StreamJoinOperator, PECJCore):
+    """Proactive Error Compensation Join.
+
+    Args:
+        agg: The aggregation of the join output (COUNT / SUM / AVG).
+        backend: Estimator backend — ``aema`` (default), ``svi`` or
+            ``mlp``.
+        buckets_per_window: Sub-interval resolution for rate observations.
+        min_completeness: Buckets whose expected completeness is below
+            this are too distorted to observe; the prior covers them.
+        finalize_quantile: Delay-CDF quantile treated as "everything has
+            arrived" when finalizing past intervals.
+        learning_inference_ms: Per-emission inference latency charged when
+            the backend is a neural network (the paper measures ~90ms for
+            its MLP, Fig. 7a).  ``None`` picks 90 for ``mlp``, 0 otherwise.
+        use_delay_context: Feed the per-window delay-shape reading to
+            learning backends (ablation switch; analytical backends
+            ignore it either way).
+        origin: Event-time offset of the window grid this operator
+            serves.  Tumbling joins leave it at 0; the sliding-window
+            adapter runs one PECJ instance per slide phase, each with its
+            own origin (see :mod:`repro.joins.sliding`).
+        estimator_factory: Override backend construction (ablations).
+        seed: Seed forwarded to learned backends.
+
+    Per-bucket counts come from one ``searchsorted`` + cumulative-sum
+    sweep per drain and each finalization batch reaches the estimators in
+    one :meth:`~repro.core.estimators.base.PosteriorEstimator.observe_many`
+    call; ``tests/oracles/pecj_loop.py`` keeps the per-bucket reference
+    loop these must match bit for bit.
+    """
+
+    name = "PECJ"
+    pipeline_method = "pecj"
+
+    def __init__(
+        self,
+        agg: AggKind = AggKind.COUNT,
+        backend: str = "aema",
+        buckets_per_window: int = 10,
+        min_completeness: float = 0.05,
+        finalize_quantile: float = 0.995,
+        learning_inference_ms: float | None = None,
+        use_delay_context: bool = True,
+        origin: float = 0.0,
+        estimator_factory: Callable[[], PosteriorEstimator] | None = None,
+        seed: int = 0,
+        debug: bool = False,
+    ):
+        super().__init__(agg)
+        if buckets_per_window < 1:
+            raise ValueError("buckets_per_window must be >= 1")
+        self.backend = backend
+        self.use_delay_context = use_delay_context
+        self.origin = origin
+        self.buckets_per_window = buckets_per_window
+        self.min_completeness = min_completeness
+        self.finalize_quantile = finalize_quantile
+        self.seed = seed
+        self._factory = estimator_factory or (lambda: make_estimator(backend, seed))
+        if learning_inference_ms is None:
+            learning_inference_ms = 90.0 if backend == "mlp" else 0.0
+        self.learning_inference_ms = learning_inference_ms
+        self.name = f"PECJ-{backend}"
+        self.debug = debug
+        self.debug_records: list[dict[str, float]] = []
+        #: 95% credible interval of the most recent compensated output
+        #: (None while cold).
+        self.last_interval: tuple[float, float] | None = None
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def prepare(self, arrays: BatchArrays, window_length: float, omega: float) -> None:
+        """Precompute batch orderings and rate priors; reset runtime cursors."""
+        self._wlen = window_length
+        self._omega = omega
+        self._bucket_len = window_length / self.buckets_per_window
+        self._reset_core(omega, self._factory)
+        # Delay-ingest cursor over completion-ordered tuples (the order is
+        # cached on the batch per completion version).
+        self._comp_order = arrays.completion_order()
+        self._comp_sorted = arrays.completion[self._comp_order]
+        self._ingest_cursor = 0
+        # Finalization cursors (bucket / window indices on the event axis).
+        if len(arrays):
+            t0 = float(arrays.event.min())
+        else:
+            t0 = 0.0
+        self._next_bucket = int(np.floor((t0 - self.origin) / self._bucket_len))
+        self._next_window = int(np.floor((t0 - self.origin) / self._wlen))
+
+    # -- observation machinery ----------------------------------------------
+
+    def _ingest_delays(self, arrays: BatchArrays, now: float) -> None:
+        hi = int(np.searchsorted(self._comp_sorted, now, side="right"))
+        if hi <= self._ingest_cursor:
+            return
+        idx = self._comp_order[self._ingest_cursor : hi]
+        delays = arrays.arrival[idx] - arrays.event[idx]
+        self.profile.update(np.maximum(delays, 0.0))
+        self._ingest_cursor = hi
+
+    def _bucket_counts_many(
+        self,
+        arrays: BatchArrays,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        now: float,
+    ) -> tuple[list[int], list[int]]:
+        """Per-bucket available-tuple counts for a run of buckets.
+
+        One ``searchsorted`` pair resolves every bucket boundary and one
+        cumulative-sum sweep over the covered slice replaces a per-bucket
+        slice-and-mask.  All counts are integer cumulative-sum differences
+        over the same boolean masks the per-bucket reference reduces, so
+        they are exactly equal.
+        """
+        lo = np.searchsorted(arrays.event, starts, side="left")
+        hi = np.searchsorted(arrays.event, ends, side="left")
+        hi = np.maximum(hi, lo)
+        base = int(lo[0]) if len(lo) else 0
+        top = int(hi[-1]) if len(hi) else 0
+        if top <= base:
+            zeros = [0] * len(starts)
+            return zeros, list(zeros)
+        avail = arrays.completion[base:top] <= now
+        r_avail = arrays.is_r[base:top] & avail
+        cum_all = np.concatenate(([0], np.cumsum(avail)))
+        cum_r = np.concatenate(([0], np.cumsum(r_avail)))
+        n_r = cum_r[hi - base] - cum_r[lo - base]
+        n_all = cum_all[hi - base] - cum_all[lo - base]
+        return n_r.tolist(), (n_all - n_r).tolist()
+
+    def _finalize_buckets(self, arrays: BatchArrays, first: int, now: float) -> None:
+        """Feed the due buckets ``[first, self._next_bucket)`` to the rate estimators.
+
+        Their counts come from one :meth:`_bucket_counts_many` sweep and
+        the estimators absorb them in one :meth:`observe_many` call per
+        stream side.  ``rate_r`` and ``rate_s`` are independent
+        estimators, so feeding each its whole batch preserves the
+        per-estimator observation order of a per-bucket loop.
+        """
+        bs = np.arange(first, self._next_bucket)
+        starts = self.origin + bs * self._bucket_len
+        ends = starts + self._bucket_len
+        n_rs, n_ss = self._bucket_counts_many(arrays, starts, ends, now)
+        cs = self.profile.completeness_many(now - 0.5 * (starts + ends))
+        zs = np.ones_like(cs)
+        pos = cs > 0.0
+        zs[pos] = 1.0 / cs[pos]
+        blen = self._bucket_len
+        self.rate_r.observe_many([n / blen for n in n_rs], zs.tolist())
+        self.rate_s.observe_many([n / blen for n in n_ss], zs.tolist())
+
+    def _finalize(self, arrays: BatchArrays, now: float) -> None:
+        horizon = self.profile.horizon(self.finalize_quantile)
+        # Finalize rate buckets.
+        first = self._next_bucket
+        while self.origin + (self._next_bucket + 1) * self._bucket_len + horizon <= now:
+            self._next_bucket += 1
+        if self._next_bucket > first:
+            self._finalize_buckets(arrays, first, now)
+        # Finalize whole windows: ground truth for sigma/alpha (+feedback).
+        while self.origin + (self._next_window + 1) * self._wlen + horizon <= now:
+            w = self._next_window
+            start = self.origin + w * self._wlen
+            end = start + self._wlen
+            self._window_feedback(w, self.window_aggregate(arrays, start, end, now), self._wlen)
+            self._next_window += 1
+
+    # -- estimation ----------------------------------------------------------
+
+    def _delay_context(
+        self, arrays: BatchArrays, window: Window, now: float
+    ) -> tuple[float, float, float, float]:
+        """Delay-shape reading of the current window (see :meth:`_delay_context_at`)."""
+
+        def sample() -> np.ndarray:
+            # Sample delays over several recent windows: regimes persist
+            # much longer than one window, and a wider sample cuts the
+            # quantile ratios' measurement noise (which multiplies
+            # straight into the learned regime factor).  The age mix adds
+            # a stable offset that the downstream learner absorbs.
+            sl = arrays.window_slice(window.start - 4.0 * window.length, window.end)
+            avail = arrays.completion[sl] <= now
+            return (arrays.arrival[sl] - arrays.event[sl])[avail]
+
+        age = now - 0.5 * (window.start + window.end)
+        return self._delay_context_at(age, sample if self.use_delay_context else None)
+
+    def _window_bucket_sweep(
+        self, arrays: BatchArrays, window: Window, now: float
+    ) -> tuple[list[int], list[int], list[float]]:
+        """``(n_rs, n_ss, cs)``: per-bucket counts and completeness of ``window``.
+
+        Counts are taken over ``[start, min(start + bucket_len,
+        window.end))`` and the completeness ``c`` at the age of the
+        *unclipped* bucket midpoint, batched into one
+        :meth:`_bucket_counts_many` call and one
+        :meth:`~repro.core.delay_profile.DelayProfile.completeness_many`
+        lookup.
+        """
+        first_bucket = int(round((window.start - self.origin) / self._bucket_len))
+        bs = np.arange(first_bucket, first_bucket + self.buckets_per_window)
+        starts = self.origin + bs * self._bucket_len
+        ends = starts + self._bucket_len
+        n_rs, n_ss = self._bucket_counts_many(
+            arrays, starts, np.minimum(ends, window.end), now
+        )
+        cs = self.profile.completeness_many(now - 0.5 * (starts + ends))
+        return n_rs, n_ss, cs.tolist()
+
+    def process_window(
+        self, arrays: BatchArrays, window: Window, available_by: float
+    ) -> tuple[float, float]:
+        """Emit the window's compensated aggregate at its cutoff (Section 4)."""
+        now = available_by
+        self._ingest_delays(arrays, now)
+        self._finalize(arrays, now)
+        self.profile.decay_step()
+
+        observed = self.window_aggregate(arrays, window.start, window.end, now)
+        extra = self.learning_inference_ms
+
+        # Cold start: no compensation knowledge yet — answer like WMJ.
+        if not self._warm():
+            self.last_interval = None
+            obs.counter(f"pecj.{self.backend}.cold_windows").inc()
+            trace.instant(
+                "pecj.cold", now, cat="estimator", track=f"pecj.{self.backend}",
+                args={"window_start": float(window.start)},
+            )
+            return observed.value(self.agg), extra
+        obs.counter(f"pecj.{self.backend}.compensated_windows").inc()
+
+        self._set_context(self._delay_context(arrays, window, now))
+        widx = int(round((window.start - self.origin) / self._wlen))
+        n_rs, n_ss, cs = self._window_bucket_sweep(arrays, window, now)
+        n_hat_r, n_hat_s, obs_r, obs_s = self._rate_estimates(
+            widx, n_rs, n_ss, cs, self._bucket_len, window.length
+        )
+        est, sigma_hat, alpha_hat, w_sigma = self._compensate(widx, n_hat_r, n_hat_s, observed)
+        self.last_interval = self._output_interval(est, self._wlen)
         lo, hi = self.last_interval
         # Posterior health: relative width of the output credible interval
         # (wide = the estimators are uncertain about this regime).
@@ -578,7 +620,7 @@ class PECJoin(StreamJoinOperator):
                 "interval_rel_width": float(rel_width),
                 "clamped": bool(self._last_clamped),
             }
-            if observed.n_r > 0 and observed.n_s > 0:
+            if w_sigma is not None:
                 sample["w_sigma"] = float(w_sigma)
             trace.instant(
                 "pecj.sample", now, cat="estimator",

@@ -274,7 +274,7 @@ def pecj_runtime_state(operator) -> dict[str, Any]:
         ),
         "emitted": {
             str(widx): [obs_r, obs_s, c_bar, m_hat]
-            for widx, (obs_r, obs_s, c_bar, m_hat) in operator._emitted.items()
+            for widx, (obs_r, obs_s, c_bar, m_hat) in operator._fill_snapshots.items()
         },
     }
 
@@ -291,7 +291,7 @@ def restore_pecj_runtime(operator, state: dict[str, Any]) -> None:
     operator.last_interval = (
         None if state["last_interval"] is None else tuple(state["last_interval"])
     )
-    operator._emitted = {
+    operator._fill_snapshots = {
         int(widx): (int(v[0]), int(v[1]), float(v[2]), float(v[3]))
         for widx, v in state["emitted"].items()
     }

@@ -707,12 +707,8 @@ class PartitionedPECJoin(PECJoin):
         for key, (n_r, n_s, sum_rv) in sorted(per_key.items()):
             state = self.hot_state[key]
             c_k = max(state.completeness(self.profile, ages), 1e-3)
-            a_r, b_r = state.prior_r.gamma_params()
-            a_s, b_s = state.prior_s.gamma_params()
-            lam_r = (a_r + n_r) / (b_r + c_k * wlen)
-            lam_s = (a_s + n_s) / (b_s + c_k * wlen)
-            n_hat_r = n_r + (1.0 - c_k) * lam_r * wlen
-            n_hat_s = n_s + (1.0 - c_k) * lam_s * wlen
+            n_hat_r = state.prior_r.filled_count(n_r, c_k, wlen)
+            n_hat_s = state.prior_s.filled_count(n_s, c_k, wlen)
             value_k = n_hat_r * n_hat_s
             if self.agg is AggKind.SUM:
                 alpha_k = sum_rv / n_r if n_r > 0 else state.payload_ema
@@ -791,10 +787,7 @@ class PartitionedPECJoin(PECJoin):
         promoted, demoted = self.partitions.barrier(widx)
         if promoted or demoted:
             self._apply_repartition(promoted, demoted, widx, available_by)
-        cold_start = not (
-            self.profile.is_warm and self.rate_r.is_warm and self.rate_s.is_warm
-        )
-        if not self.hot_state or cold_start or not self._partitions_warm():
+        if not self.hot_state or not self._warm() or not self._partitions_warm():
             return value, extra
         part = self._partitioned_value(arrays, window, available_by)
         return self.blend * part + (1.0 - self.blend) * value, extra

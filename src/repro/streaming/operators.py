@@ -19,9 +19,9 @@ Three operators share the machinery:
 * :class:`StreamingKSJ` — the same, behind a real heap-based k-slack
   reorder buffer (tuples the buffer still holds at the cutoff are missed,
   reproducing KSJ's completeness/latency tradeoff);
-* :class:`StreamingPECJ` — proactive compensation: the full PECJ
-  estimation flow (delay profile, Eq. 9 / additive blends, delay-shape
-  context, delayed ground-truth feedback) on columnar window state.
+* :class:`StreamingPECJ` — proactive compensation: the estimation core
+  :class:`~repro.core.pecj.PECJCore` shared with the batch operator,
+  fed from columnar window state and a pushed-delay log.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from math import isfinite  # bound once: push checks every tuple
 
 import numpy as np
 
 from repro.obs import trace
-from repro.core.compensation import compensate
-from repro.core.delay_profile import DelayProfile
-from repro.core.pecj import make_estimator
+from repro.core.pecj import PECJCore, make_estimator
 from repro.joins.arrays import AggKind
 from repro.metrics.error import bounded_window_error
 from repro.streaming.kslack import KSlackBuffer
@@ -185,13 +184,25 @@ class _StreamingBase:
             self._max_widx = w
             self._rewake()
 
+    def _reject(self, t: StreamTuple) -> None:
+        """Raise for a tuple that would corrupt the clock or the delay log.
+
+        Pushes call this before touching any state, so a rejected tuple
+        leaves the operator exactly as it was.
+        """
+        if not (isfinite(t.event_time) and isfinite(t.arrival_time)):
+            raise ValueError(
+                f"timestamps must be finite: event_time={t.event_time}, "
+                f"arrival_time={t.arrival_time}"
+            )
+        raise ValueError(f"arrival clock went backwards: {t.arrival_time} < {self.clock}")
+
     def push(self, t: StreamTuple) -> list[WindowEmission]:
         """Ingest one tuple (arrival order) and return due emissions."""
-        if t.arrival_time < self.clock - 1e-9:
-            raise ValueError(
-                f"arrival clock went backwards: {t.arrival_time} < {self.clock}"
-            )
-        emissions = self._tick(t.arrival_time)
+        arrival = t.arrival_time
+        if not (arrival >= self.clock - 1e-9 and isfinite(arrival) and isfinite(t.event_time)):
+            self._reject(t)
+        emissions = self._tick(arrival)
         self._ingest(t)
         return emissions
 
@@ -362,15 +373,14 @@ class StreamingKSJ(StreamingWMJ):
 
     def push(self, t: StreamTuple) -> list[WindowEmission]:
         """Feed one arriving tuple; join and emit whatever it releases."""
-        if t.arrival_time < self.clock - 1e-9:
-            raise ValueError(
-                f"arrival clock went backwards: {t.arrival_time} < {self.clock}"
-            )
+        arrival = t.arrival_time
+        if not (arrival >= self.clock - 1e-9 and isfinite(arrival) and isfinite(t.event_time)):
+            self._reject(t)
         if self._adaptive_slack:
             # Adaptive k-slack (Ji et al.): K tracks the largest disorder
             # seen so far.
             self.buffer.slack = max(self.buffer.slack, t.delay)
-        emissions = self._tick(t.arrival_time)
+        emissions = self._tick(arrival)
         for released in self.buffer.push(t):
             self._ingest(released)
         return emissions
@@ -394,14 +404,20 @@ class StreamingKSJ(StreamingWMJ):
         return super().finish()
 
 
-class StreamingPECJ(_StreamingBase):
-    """Push-based PECJ: the full estimation flow on columnar window state.
+class StreamingPECJ(_StreamingBase, PECJCore):
+    """Push-based PECJ: the shared estimation core on columnar window state.
 
-    Mirrors :class:`repro.core.pecj.PECJoin` — online delay profile,
-    per-bucket rate observations with distortion corrections, weighted
-    selectivity/payload blending, delay-shape context and delayed
-    ground-truth feedback for learning backends — but consumes pushed
-    tuples instead of a materialised batch.
+    The estimation steps — Eq. 9 / additive rate blends, the
+    selectivity/payload blend, delay-shape context, the credible interval
+    and delayed ground-truth feedback — are
+    :class:`~repro.core.pecj.PECJCore`'s, the same as
+    :class:`~repro.core.pecj.PECJoin`'s.  This class decides only what a
+    window has seen and when it is final: pushed tuples land in window
+    states and a delay log that feeds the online profile; bucket
+    completeness is read at each bucket's age at the cutoff; a window is
+    final once ``horizon + |W|`` has passed, and only then are its bucket
+    rates observed (with ``z = 1``).  Warm emissions carry the 95%
+    credible interval.
     """
 
     name = "StreamingPECJ"
@@ -424,16 +440,7 @@ class StreamingPECJ(_StreamingBase):
         if learning_inference_ms is None:
             learning_inference_ms = 90.0 if backend == "mlp" else 0.0
         self.learning_inference_ms = learning_inference_ms
-        self.profile = DelayProfile(initial_span=max(8.0, omega))
-        self.rate_r = make_estimator(backend, seed)
-        self.rate_s = make_estimator(backend, seed)
-        self.sigma = make_estimator(backend, seed)
-        self.alpha = make_estimator(backend, seed)
-        self._matches_ema = 0.0
-        self._m_ema: float | None = None
-        self._m_rel_var = 0.04
-        #: (obs_r, obs_s, c_bar, m_hat) snapshots for completeness feedback.
-        self._emit_obs: dict[int, tuple[int, int, float, float]] = {}
+        self._reset_core(omega, lambda: make_estimator(backend, seed))
         # Event and arrival times of ingested tuples, in ingest order.  The
         # profile absorbs the entries from _flushed on in one batch before
         # it is queried (per-push updates would allocate an array per
@@ -475,148 +482,37 @@ class StreamingPECJ(_StreamingBase):
         return self.profile.horizon(self.finalize_quantile) + self.window_length
 
     def _delay_context(self, start: float, end: float, now: float):
-        age = now - 0.5 * (start + end)
-        c_assumed = self.profile.completeness(age)
-        neutral = (c_assumed, 1.0, 1.0, 1.0)
-        if not self.profile.is_warm or c_assumed <= 0.02:
-            return neutral
-        span_start = start - 4.0 * self.window_length
-        event, delays = self._log_delays(max(len(self._log_event) - self.CONTEXT_TUPLES, 0))
-        delays = delays[(span_start <= event) & (event < end)]
-        if len(delays) < 10:
-            return neutral
-        ratios = []
-        for q in (0.25, 0.5, 0.75):
-            a_q = self.profile.quantile_age(q * c_assumed)
-            if a_q <= 0.0:
-                ratios.append(1.0)
-                continue
-            ratios.append(min(max(float(np.mean(delays <= a_q)) / q, 0.0), 2.5))
-        return (c_assumed, *ratios)
+        def sample() -> np.ndarray:
+            lo = max(len(self._log_event) - self.CONTEXT_TUPLES, 0)
+            event, delays = self._log_delays(lo)
+            return delays[(start - 4.0 * self.window_length <= event) & (event < end)]
+
+        return self._delay_context_at(now - 0.5 * (start + end), sample)
 
     def _emit_value(self, state: WindowJoinState, cutoff: float):
         self._flush_delays()
         extra = self.learning_inference_ms
-        if not (self.profile.is_warm and self.rate_r.is_warm and self.rate_s.is_warm):
+        if not self._warm():
             return state.value(self.agg), None, extra
-        now = cutoff
         widx = self._widx(state.start)
-        context = self._delay_context(state.start, state.end, now)
-        for est in (self.rate_r, self.rate_s, self.sigma, self.alpha):
-            est.set_context(context)
-
-        n_hat_r, n_hat_s = self._rate_estimates(state, now, widx)
-
-        if state.n_r > 0 and state.n_s > 0:
-            if self._matches_ema > 0.0:
-                w_sigma = 60.0 * min(state.matches / self._matches_ema, 1.2)
-            else:
-                w_sigma = 1.0
-            sigma_hat = self.sigma.blend(
-                [state.selectivity], [1.0], tag=widx, weights=[max(w_sigma, 0.2)]
-            )
-        else:
-            sigma_hat = self.sigma.estimate()
-
-        alpha_hat = 0.0
-        if self.agg is not AggKind.COUNT:
-            if state.matches > 0:
-                w_alpha = max(min(state.matches**0.5, 40.0), 0.2)
-                alpha_hat = self.alpha.blend(
-                    [state.alpha_r], [1.0], tag=widx, weights=[w_alpha]
-                )
-            else:
-                alpha_hat = self.alpha.estimate()
-
-        est = compensate(self.agg, n_hat_r, n_hat_s, sigma_hat, alpha_hat)
-        return est.value, None, extra
-
-    def _rate_estimates(self, state: WindowJoinState, now: float, widx: int):
+        self._set_context(self._delay_context(state.start, state.end, cutoff))
         bucket_len = state.length / state.num_buckets
-        ages = [
-            now - (state.start + (b + 0.5) * bucket_len)
+        cs = [
+            self.profile.completeness(cutoff - (state.start + (b + 0.5) * bucket_len))
             for b in range(state.num_buckets)
         ]
-        completeness = [self.profile.completeness(a) for a in ages]
-
-        if self.rate_r.completeness_factor() is not None:
-            # Learning path: additive fill at an inverse-variance rate.
-            mu_r = max(self.rate_r.blend([], [], tag=widx), 0.0)
-            mu_s = max(self.rate_s.blend([], [], tag=widx), 0.0)
-            m_r = self.rate_r.completeness_factor() or 1.0
-            m_s = self.rate_s.completeness_factor() or 1.0
-            m_hat = 0.5 * (m_r + m_s)
-            if self._m_ema is not None:
-                m_hat = 0.5 * self._m_ema + 0.5 * m_hat
-            self._m_ema = m_hat
-            missing = sum(
-                (1.0 - min(max(m_hat * c, 0.0), 1.0)) * bucket_len
-                for c in completeness
-            )
-            c_bar = sum(completeness) / len(completeness)
-            self._emit_obs[widx] = (state.n_r, state.n_s, c_bar, m_hat)
-            c_hat_bar = 1.0 - missing / state.length
-            out = []
-            for n_obs, mu, est in (
-                (state.n_r, mu_r, self.rate_r),
-                (state.n_s, mu_s, self.rate_s),
-            ):
-                fill = mu
-                if c_hat_bar >= 0.05:
-                    est1 = n_obs / (c_hat_bar * state.length)
-                    rel_var1 = (1.0 - c_hat_bar) / (c_hat_bar * max(n_obs, 1.0))
-                    rel_var1 += self._m_rel_var
-                    sd2 = getattr(est, "residual_std", lambda: 0.0)()
-                    rel_var2 = (sd2 / mu) ** 2 if mu > 0 else 1.0
-                    rel_var2 = min(max(rel_var2, 1e-4), 1.0)
-                    w1 = rel_var2 / (rel_var1 + rel_var2)
-                    fill = w1 * est1 + (1.0 - w1) * mu
-                out.append(n_obs + fill * missing)
-            return out[0], out[1]
-
-        # Analytical path: Eq. 9 blend over bucket observations.
-        xs_r, xs_s, zs = [], [], []
-        for (cnt_r, cnt_s), c in zip(state.buckets, completeness):
-            if c < self.min_completeness:
-                continue
-            xs_r.append(cnt_r / bucket_len)
-            xs_s.append(cnt_s / bucket_len)
-            zs.append(1.0 / c)
-        mu_r = self.rate_r.blend(xs_r, zs, tag=widx)
-        mu_s = self.rate_s.blend(xs_s, zs, tag=widx)
-        n_hat_r = max(mu_r * state.length, float(state.n_r))
-        n_hat_s = max(mu_s * state.length, float(state.n_s))
-        return n_hat_r, n_hat_s
+        buckets = state.buckets
+        n_hat_r, n_hat_s, _, _ = self._rate_estimates(
+            widx, [b[0] for b in buckets], [b[1] for b in buckets], cs,
+            bucket_len, state.length,
+        )
+        est = self._compensate(widx, n_hat_r, n_hat_s, state.aggregate)[0]
+        return est.value, self._output_interval(est, self.window_length), extra
 
     def _on_finalize(self, widx: int, state: WindowJoinState) -> None:
         bucket_len = state.length / state.num_buckets
         for cnt_r, cnt_s in state.buckets:
             self.rate_r.observe(cnt_r / bucket_len, 1.0)
             self.rate_s.observe(cnt_s / bucket_len, 1.0)
-        if state.n_r > 0 and state.n_s > 0:
-            self.sigma.observe(state.selectivity, 1.0)
-            self.sigma.feedback(widx, state.selectivity)
-        if state.matches > 0:
-            self.alpha.observe(state.alpha_r, 1.0)
-            self.alpha.feedback(widx, state.alpha_r)
-            if self._matches_ema <= 0.0:
-                self._matches_ema = state.matches
-            else:
-                self._matches_ema = 0.95 * self._matches_ema + 0.05 * state.matches
-        self.rate_r.feedback(widx, state.n_r / state.length)
-        self.rate_s.feedback(widx, state.n_s / state.length)
-        emitted = self._emit_obs.pop(widx, None)
-        if emitted is not None:
-            obs_r, obs_s, c_bar, m_hat = emitted
-            if c_bar > 0.0:
-                if state.n_r > 0:
-                    m_true = (obs_r / state.n_r) / c_bar
-                    self.rate_r.feedback_completeness(widx, m_true)
-                    if m_hat > 0.0:
-                        rel = (m_true - m_hat) / m_hat
-                        self._m_rel_var = 0.97 * self._m_rel_var + 0.03 * rel * rel
-                if state.n_s > 0:
-                    self.rate_s.feedback_completeness(
-                        widx, (obs_s / state.n_s) / c_bar
-                    )
+        self._window_feedback(widx, state.aggregate, state.length)
         self.profile.decay_step()

@@ -1,11 +1,11 @@
 """Byte-identity of PECJ's fused estimator path vs the reference loop.
 
-``PECJoin(vectorized=True)`` (the default) batches the per-bucket rate
-observations and per-window bucket sweeps into single numpy expressions.
-The contract is not "close": every emitted window record must be
-bit-identical to the per-bucket reference loop (``vectorized=False``),
-across backends, aggregations, fault injection and sliding grids — the
-same bar the parallel executor is held to.
+``PECJoin`` batches the per-bucket rate observations and per-window
+bucket sweeps into single numpy expressions.  The contract is not
+"close": every emitted window record must be bit-identical to the
+per-bucket reference loop (``tests/oracles/pecj_loop.py``), across
+backends, aggregations, fault injection and sliding grids — the same bar
+the parallel executor is held to.
 """
 
 import json
@@ -21,6 +21,7 @@ from repro.joins.sliding import run_sliding_operator
 from repro.streams.datasets import make_dataset
 from repro.streams.disorder import UniformDelay
 from repro.streams.sources import make_disordered_arrays
+from tests.oracles.pecj_loop import PerBucketPECJoin
 
 WLEN = 10.0
 
@@ -60,8 +61,8 @@ def record_bytes(result):
 
 
 def assert_identical(make_op, arrays, omega=10.0):
-    fused = run(make_op(vectorized=True), arrays, omega=omega)
-    reference = run(make_op(vectorized=False), arrays, omega=omega)
+    fused = run(make_op(PECJoin), arrays, omega=omega)
+    reference = run(make_op(PerBucketPECJoin), arrays, omega=omega)
     assert record_bytes(fused) == record_bytes(reference)
 
 
@@ -70,7 +71,7 @@ def assert_identical(make_op, arrays, omega=10.0):
 def test_backends_and_aggregations(backend, agg):
     arrays = micro_arrays()
     assert_identical(
-        lambda vectorized: PECJoin(backend=backend, agg=agg, vectorized=vectorized),
+        lambda cls: cls(backend=backend, agg=agg),
         arrays,
     )
 
@@ -80,7 +81,7 @@ def test_small_omega_prior_path():
     prior blend must stay identical too."""
     arrays = micro_arrays(seed=7)
     assert_identical(
-        lambda vectorized: PECJoin(backend="aema", vectorized=vectorized),
+        lambda cls: cls(backend="aema"),
         arrays,
         omega=7.0,
     )
@@ -90,9 +91,7 @@ def test_coarse_and_fine_bucket_grids():
     arrays = micro_arrays(seed=8)
     for bpw in (1, 5, 20):
         assert_identical(
-            lambda vectorized: PECJoin(
-                backend="aema", buckets_per_window=bpw, vectorized=vectorized
-            ),
+            lambda cls: cls(backend="aema", buckets_per_window=bpw),
             arrays,
         )
 
@@ -103,7 +102,7 @@ def test_under_fault_injection():
     arrays, _ = apply_faults(micro_arrays(seed=9), reference_burst_plan(300.0, 700.0))
     for backend in ("aema", "svi"):
         assert_identical(
-            lambda vectorized, b=backend: PECJoin(backend=b, vectorized=vectorized),
+            lambda cls, b=backend: cls(backend=b),
             arrays,
         )
 
@@ -112,11 +111,9 @@ def test_sliding_grids_with_nonzero_origins():
     """Phase-shifted tumbling grids exercise nonzero bucket origins."""
     arrays = micro_arrays(seed=10)
 
-    def run_slide(vectorized):
+    def run_slide(cls):
         return run_sliding_operator(
-            lambda origin: PECJoin(
-                backend="aema", origin=origin, vectorized=vectorized
-            ),
+            lambda origin: cls(backend="aema", origin=origin),
             arrays,
             window_length=20.0,
             slide=5.0,
@@ -126,4 +123,4 @@ def test_sliding_grids_with_nonzero_origins():
             warmup_windows=10,
         )
 
-    assert record_bytes(run_slide(True)) == record_bytes(run_slide(False))
+    assert record_bytes(run_slide(PECJoin)) == record_bytes(run_slide(PerBucketPECJoin))

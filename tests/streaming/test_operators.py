@@ -290,3 +290,85 @@ def test_negative_key_fails_loudly():
     op.push(StreamTuple(1, 1.0, 1.0, 2.0, Side.R))
     with pytest.raises(ValueError, match="non-negative"):
         op.push(StreamTuple(-1, 1.0, 1.0, 2.0, Side.S))
+
+
+def push_state(op):
+    """Everything a rejected push must leave untouched."""
+    state = [op.clock, op.live_windows, list(op.scored), op.dropped_late,
+             op._next_emit, op._next_final, op._max_widx]
+    if isinstance(op, StreamingKSJ):
+        state += [op.buffer.slack, len(op.buffer), op.buffer.watermark]
+    if isinstance(op, StreamingPECJ):
+        state += [list(op._log_event), list(op._log_arrival), op._flushed,
+                  op.profile.weight]
+    return state
+
+
+class TestNonFiniteTimestamps:
+    """Regression: a NaN arrival stayed in the PECJ delay log and made
+    every later push raise; an infinite arrival moved the clock to inf so
+    every later push was "backwards"; a NaN event time raised only after
+    the clock had advanced, losing that tick's emissions.  Non-finite
+    timestamps are now rejected before any state changes."""
+
+    BAD = {
+        "nan-event": (math.nan, None),
+        "nan-arrival": (None, math.nan),
+        "inf-event": (math.inf, None),
+        "inf-arrival": (None, math.inf),
+        "neg-inf-event": (-math.inf, None),
+        "neg-inf-arrival": (None, -math.inf),
+    }
+
+    @pytest.mark.parametrize("cls", [StreamingWMJ, StreamingKSJ, StreamingPECJ])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("at", [0, 4000])
+    def test_rejected_without_touching_state(self, cls, bad, at):
+        tuples = arrival_stream(duration=300.0)
+        clean, probed = cls(10.0, 10.0), cls(10.0, 10.0)
+        want, got = [], []
+        for i, t in enumerate(tuples):
+            if i == at:
+                event, arrival = self.BAD[bad]
+                poison = StreamTuple(
+                    t.key, t.payload,
+                    t.event_time if event is None else event,
+                    t.arrival_time if arrival is None else arrival,
+                    t.side,
+                )
+                before = push_state(probed)
+                with pytest.raises(ValueError, match="finite"):
+                    probed.push(poison)
+                assert push_state(probed) == before
+            want.extend(clean.push(t))
+            got.extend(probed.push(t))
+        want.extend(clean.finish())
+        got.extend(probed.finish())
+        assert got == want
+        assert probed.scored == clean.scored
+
+
+class TestStreamingInterval:
+    @pytest.mark.parametrize("agg", [AggKind.COUNT, AggKind.SUM, AggKind.AVG])
+    def test_warm_emissions_carry_a_covering_interval(self, agg):
+        op = StreamingPECJ(10.0, 10.0, agg, backend="aema")
+        emissions = drive(op, arrival_stream(duration=600.0))
+        warm = [e for e in emissions if e.interval is not None]
+        assert len(warm) > len(emissions) / 2
+        for e in warm:
+            lo, hi = e.interval
+            assert lo <= e.value <= hi
+        # Cold emissions (before the estimators warm up) carry none.
+        assert emissions[0].interval is None
+
+    def test_counts_blends_like_the_batch_operator(self):
+        from repro import obs
+
+        op = StreamingPECJ(10.0, 10.0, backend="aema")
+        with obs.scoped() as reg:
+            emissions = drive(op, arrival_stream(duration=300.0))
+        warm = sum(e.interval is not None for e in emissions)
+        # Two rate blends per warm window, plus one selectivity blend
+        # whenever the window saw both sides.
+        blends = reg.snapshot()["counters"]["pecj.aema.blend_calls"]
+        assert 2 * warm <= blends <= 3 * warm
