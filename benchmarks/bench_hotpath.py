@@ -23,12 +23,13 @@ replacement and asserting equivalence before timing:
   >= 2 CPUs: break-even (1x) at 2 workers on 2 CPUs, 1.8x at the
   requested worker count on >= 4 CPUs (recorded in artifact metadata).
 * **serve_hotpath** — the serving shard's ingest-to-answer loop at
-  growing retention: full-rebuild :class:`repro.serve.shards.ShardStore`
+  growing retention: :class:`repro.bench.serve_bench.FullRebuildShard`
   (re-sort + re-aggregate per touched tick) vs the incremental
-  sorted-run + delta-grid mode, same deterministic tick stream, COUNT
-  answers asserted bit-identical first.  Gated >= 3x at the largest
-  retention point in full mode — the gap that must widen with retention
-  is the whole point of the run structure.
+  sorted-run + delta-grid :class:`repro.serve.shards.ShardStore`, same
+  deterministic tick stream, COUNT answers asserted bit-identical
+  first.  Gated >= 3x at the largest retention point in full mode —
+  the gap that must widen with retention is the whole point of the run
+  structure.
 * **serve_telemetry** — one full :class:`repro.serve.service.JoinService`
   run with live telemetry (sampler + SLO tracker + audit log) enabled
   vs disabled; the run reports are asserted identical first (telemetry
@@ -64,6 +65,7 @@ from repro import obs  # noqa: E402
 from repro.bench.experiments import fig6_end_to_end  # noqa: E402
 from repro.bench.serve_bench import (  # noqa: E402
     _HOTPATH_TICK_MS,
+    FullRebuildShard,
     hotpath_drive,
     hotpath_tick_stream,
 )
@@ -75,6 +77,7 @@ from repro.joins.baselines import WatermarkJoin  # noqa: E402
 from repro.joins.runner import run_operator  # noqa: E402
 from repro.serve.admission import TenantQuota  # noqa: E402
 from repro.serve.service import JoinService, ServeConfig  # noqa: E402
+from repro.serve.shards import ShardStore  # noqa: E402
 from repro.serve.telemetry import TelemetryConfig  # noqa: E402
 from repro.streams.datasets import make_dataset  # noqa: E402
 from repro.streams.disorder import UniformDelay  # noqa: E402
@@ -394,16 +397,18 @@ def serve_hotpath_workload(retention_ms, repeats):
     chunks = hotpath_tick_stream(ticks)
     n = sum(len(c[0]) for c in chunks)
 
-    inc_shard, inc_answers = hotpath_drive("runs", retention_ms, chunks)
-    ref_shard, ref_answers = hotpath_drive("full", retention_ms, chunks)
+    inc_shard, inc_answers = hotpath_drive(ShardStore, retention_ms, chunks)
+    ref_shard, ref_answers = hotpath_drive(FullRebuildShard, retention_ms, chunks)
     assert inc_answers == ref_answers, (
         f"serve_hotpath retention={retention_ms}: incremental answers "
         "diverged from the full-rebuild reference"
     )
     assert inc_shard.evicted == ref_shard.evicted
 
-    t_full = best_of(lambda: hotpath_drive("full", retention_ms, chunks), repeats)
-    t_runs = best_of(lambda: hotpath_drive("runs", retention_ms, chunks), repeats)
+    t_full = best_of(
+        lambda: hotpath_drive(FullRebuildShard, retention_ms, chunks), repeats
+    )
+    t_runs = best_of(lambda: hotpath_drive(ShardStore, retention_ms, chunks), repeats)
     row = {
         "retention_ms": retention_ms,
         "ticks": ticks,
@@ -411,8 +416,8 @@ def serve_hotpath_workload(retention_ms, repeats):
         "queries": len(inc_answers),
         "live_at_end": len(inc_shard),
         "answers_identical": True,
-        "runs": len(inc_shard._runs),
-        "compactions": inc_shard._runs.compactions,
+        "runs": len(inc_shard._stores[0].runs),
+        "compactions": inc_shard._stores[0].runs.compactions,
         "full": {"seconds": t_full, "tuples_per_s": n / t_full},
         "incremental": {"seconds": t_runs, "tuples_per_s": n / t_runs},
         "speedup": t_full / t_runs,

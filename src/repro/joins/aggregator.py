@@ -42,11 +42,60 @@ import math
 import numpy as np
 
 from repro import obs
-from repro.joins.arrays import BatchArrays, WindowAggregate
+from repro.joins.arrays import BatchArrays, WindowAggregate, negative_key_error
 
 __all__ = ["DeltaAppendError", "DeltaGrid", "WindowAggregator"]
 
 _EMPTY = WindowAggregate(0, 0, 0.0, 0.0)
+
+
+def _pair_deltas(
+    regroup: np.ndarray,
+    new_group: np.ndarray,
+    is_r: np.ndarray,
+    payload: np.ndarray,
+    priors: tuple[np.ndarray, ...] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tuple deltas of the rolled ``matches``/``sum_r`` aggregates.
+
+    ``regroup`` permutes the tuples into groups (one per join key, or
+    per (window, key)), keeping each group in insertion order;
+    ``new_group`` flags each group's first element in that order.  A
+    tuple's delta counts the pairs it closes with the group's *earlier*
+    tuples — grouped exclusive prefixes, no Python loop.  ``priors``
+    ``(c_r, c_s, sum_rv)``, gathered per element in regrouped order,
+    seed every group with the per-key state accumulated before this
+    batch, so a pair spanning two batches is charged once, in the later
+    one.  Returns the deltas in the tuples' original order.
+    """
+    n = len(regroup)
+    pos = np.arange(n, dtype=np.int64)
+    group_first = np.flatnonzero(new_group)
+    # Index of each element's group-first element (its exclusive-sum
+    # base), as one gather instead of a per-column double gather.
+    base = group_first[np.cumsum(new_group) - 1]
+    rr = is_r[regroup]
+    pp = payload[regroup]
+    rr_int = rr.astype(np.int64)
+    cum_r = np.cumsum(rr_int)
+    excl_r = cum_r - rr_int
+    r_before = excl_r - excl_r[base]
+    # Earlier S-tuples of the group = earlier tuples minus earlier Rs.
+    s_before = (pos - base) - r_before
+    rv = np.where(rr, pp, 0.0)
+    cum_v = np.cumsum(rv)
+    excl_v = cum_v - rv
+    rv_before = excl_v - excl_v[base]
+    if priors is not None:
+        prior_r, prior_s, prior_rv = priors
+        r_before = prior_r + r_before
+        s_before = prior_s + s_before
+        rv_before = prior_rv + rv_before
+    d_matches = np.empty(n, dtype=np.int64)
+    d_matches[regroup] = np.where(rr, s_before, r_before)
+    d_sum = np.empty(n)
+    d_sum[regroup] = np.where(rr, pp * s_before, rv_before)
+    return d_matches, d_sum
 
 
 class _GridIndex:
@@ -129,28 +178,7 @@ class _GridIndex:
         new_group = np.empty(n, dtype=bool)
         new_group[0] = True
         new_group[1:] = (ww[1:] != ww[:-1]) | (kk[1:] != kk[:-1])
-        group_first = np.flatnonzero(new_group)
-        # Index of each element's group-first element (its exclusive-sum
-        # base), as one gather instead of a per-column double gather.
-        base = group_first[np.cumsum(new_group) - 1]
-        rr = is_r[regroup]
-        pp = payload[regroup]
-        rr_int = rr.astype(np.int64)
-        cum_r = np.cumsum(rr_int)
-        excl_r = cum_r - rr_int
-        r_before = excl_r - excl_r[base]
-        # Earlier S-tuples of the group = earlier tuples minus earlier Rs.
-        s_before = (pos - base) - r_before
-        rv = np.where(rr, pp, 0.0)
-        cum_v = np.cumsum(rv)
-        excl_v = cum_v - rv
-        rv_before = excl_v - excl_v[base]
-        d_matches_g = np.where(rr, s_before, r_before)
-        d_sum_g = np.where(rr, pp * s_before, rv_before)
-        d_matches = np.empty(n, dtype=np.int64)
-        d_matches[regroup] = d_matches_g
-        d_sum = np.empty(n)
-        d_sum[regroup] = d_sum_g
+        d_matches, d_sum = _pair_deltas(regroup, new_group, is_r, payload)
 
         # Global inclusive prefix columns (queries subtract the segment
         # base, so no per-element base subtraction is needed here).
@@ -398,7 +426,7 @@ class DeltaGrid:
 
     Args:
         num_keys: Dense width of the per-key count state (appending a
-            key ``>= num_keys`` raises ``ValueError``).
+            key outside ``[0, num_keys)`` raises ``ValueError``).
         length: Grid window length.
         origin: Event-time offset of the grid.
     """
@@ -454,12 +482,15 @@ class DeltaGrid:
         window membership then uses the exact ``searchsorted`` edge
         semantics of :class:`_GridIndex`, so boundary tuples land in the
         same window as the reference.  The whole validation pass runs
-        before any state is touched: on :class:`DeltaAppendError` the
-        grid is unchanged.
+        before any state is touched: on :class:`DeltaAppendError`, or
+        the ``ValueError`` of a key outside ``[0, num_keys)``, the grid
+        is unchanged.
         """
         n = len(event)
         if n == 0:
             return 0
+        if int(key.min()) < 0:
+            raise negative_key_error(int(key.min()))
         if int(key.max()) >= self.num_keys:
             raise ValueError(
                 f"key {int(key.max())} outside dense key space [0, {self.num_keys})"
@@ -515,8 +546,8 @@ class DeltaGrid:
         """Roll one clock-sorted window segment into the prefix state."""
         m = len(key)
         pos = np.arange(m, dtype=np.int64)
-        # Grouped exclusive prefixes by key, in clock order — the same
-        # kernel as _GridIndex, seeded with the accumulated counts.
+        # Grouped exclusive prefixes by key, in clock order — the
+        # kernel _GridIndex uses, seeded with the accumulated counts.
         if self.num_keys * m < 2**62:
             regroup = np.argsort(key * m + pos)
         else:  # pragma: no cover - needs an astronomically wide key space
@@ -525,28 +556,8 @@ class DeltaGrid:
         new_group = np.empty(m, dtype=bool)
         new_group[0] = True
         new_group[1:] = kk[1:] != kk[:-1]
-        group_first = np.flatnonzero(new_group)
-        base = group_first[np.cumsum(new_group) - 1]
-        rr = is_r[regroup]
-        pp = payload[regroup]
-        rr_int = rr.astype(np.int64)
-        cum_r = np.cumsum(rr_int)
-        excl_r = cum_r - rr_int
-        r_before = excl_r - excl_r[base]
-        s_before = (pos - base) - r_before
-        rv = np.where(rr, pp, 0.0)
-        cum_v = np.cumsum(rv)
-        excl_v = cum_v - rv
-        rv_before = excl_v - excl_v[base]
-        prior_r = win.c_r[kk]
-        prior_s = win.c_s[kk]
-        prior_rv = win.sum_rv[kk]
-        d_matches_g = np.where(rr, prior_s + s_before, prior_r + r_before)
-        d_sum_g = np.where(rr, pp * (prior_s + s_before), prior_rv + rv_before)
-        d_matches = np.empty(m, dtype=np.int64)
-        d_matches[regroup] = d_matches_g
-        d_sum = np.empty(m)
-        d_sum[regroup] = d_sum_g
+        priors = (win.c_r[kk], win.c_s[kk], win.sum_rv[kk])
+        d_matches, d_sum = _pair_deltas(regroup, new_group, is_r, payload, priors)
         # Advance the per-key state by the whole segment.
         r_keys = key[is_r]
         s_keys = key[~is_r]

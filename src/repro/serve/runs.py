@@ -16,11 +16,11 @@ slicing and a fully expired run is dropped whole, without ever touching
 survivors.
 
 The frontier makes eviction accounting exactly match the full-rebuild
-reference: :meth:`RunStack.advance_horizon` returns how many tuples
-newly fell behind the horizon, which is precisely the count the
-reference's rebuild-time ``event >= horizon`` filter would have dropped,
-so the two modes agree on ``evicted`` (and therefore ``len``) after
-every query.
+reference (:class:`repro.bench.serve_bench.FullRebuildShard`):
+:meth:`RunStack.advance_horizon` returns how many tuples newly fell
+behind the horizon, which is precisely the count the reference's
+rebuild-time ``event >= horizon`` filter would have dropped, so the two
+shards agree on ``evicted`` (and therefore ``len``) after every query.
 
 Counters live in :class:`~repro.serve.shards.ShardStore` (the owner of
 the obs vocabulary); this module only returns the numbers.
@@ -28,9 +28,11 @@ the obs vocabulary); this module only returns the numbers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
-__all__ = ["SortedRun", "RunStack", "merge_sorted_runs"]
+__all__ = ["SortedRun", "RunStack", "merge_runs", "merge_sorted_runs"]
 
 _COLS = ("event", "arrival", "key", "payload", "is_r")
 
@@ -79,18 +81,6 @@ class SortedRun:
             event[order], arrival[order], key[order], payload[order], is_r[order]
         )
 
-    @classmethod
-    def from_sorted(
-        cls,
-        event: np.ndarray,
-        arrival: np.ndarray,
-        key: np.ndarray,
-        payload: np.ndarray,
-        is_r: np.ndarray,
-    ) -> "SortedRun":
-        """Adopt already event-sorted columns (merge and restore paths)."""
-        return cls(event, arrival, key, payload, is_r)
-
     def __len__(self) -> int:
         return len(self.event)
 
@@ -98,11 +88,6 @@ class SortedRun:
     def live(self) -> int:
         """Number of unexpired tuples."""
         return len(self.event) - self.evict_ptr
-
-    @property
-    def max_event(self) -> float:
-        """Largest event time in the run (``-inf`` when empty)."""
-        return float(self.event[-1]) if len(self.event) else float("-inf")
 
     def advance_frontier(self, horizon: float) -> int:
         """Expire tuples with ``event < horizon``; newly expired count."""
@@ -142,9 +127,9 @@ def merge_sorted_runs(a: SortedRun, b: SortedRun) -> SortedRun:
     ae, aa, ak, ap, ar = a.live_columns()
     be, ba, bk, bp, br = b.live_columns()
     if len(be) == 0:
-        return SortedRun.from_sorted(ae, aa, ak, ap, ar)
+        return SortedRun(ae, aa, ak, ap, ar)
     if len(ae) == 0:
-        return SortedRun.from_sorted(be, ba, bk, bp, br)
+        return SortedRun(be, ba, bk, bp, br)
     n = len(ae) + len(be)
     # Position of each b-tuple in the merged order: the number of
     # a-tuples at or before its event time (side="right" keeps a first
@@ -158,7 +143,7 @@ def merge_sorted_runs(a: SortedRun, b: SortedRun) -> SortedRun:
         merged[mask_b] = col_b
         merged[~mask_b] = col_a
         out.append(merged)
-    return SortedRun.from_sorted(*out)
+    return SortedRun(*out)
 
 
 class RunStack:
@@ -221,22 +206,23 @@ class RunStack:
         self.runs = survivors
         return newly
 
-    def merged_columns(self) -> tuple[np.ndarray, ...]:
-        """All live tuples as one event-sorted column set.
 
-        Built by pairwise :func:`merge_sorted_runs` over the live runs —
-        the checkpoint path — so a snapshot never re-sorts sorted data.
-        An empty stack yields typed empty columns.
-        """
-        if not self.runs:
-            return (
-                np.empty(0),
-                np.empty(0),
-                np.empty(0, dtype=np.int64),
-                np.empty(0),
-                np.empty(0, dtype=bool),
-            )
-        acc = self.runs[0]
-        for run in self.runs[1:]:
-            acc = merge_sorted_runs(acc, run)
-        return acc.live_columns()
+def merge_runs(runs: Iterable[SortedRun]) -> tuple[np.ndarray, ...]:
+    """The live tuples of ``runs`` as one event-sorted column set.
+
+    Folds :func:`merge_sorted_runs` over the runs in order, so a
+    snapshot never re-sorts sorted data and equal event times keep the
+    order the runs are given in.  No runs yield typed empty columns.
+    """
+    acc = None
+    for run in runs:
+        acc = run if acc is None else merge_sorted_runs(acc, run)
+    if acc is None:
+        return (
+            np.empty(0),
+            np.empty(0),
+            np.empty(0, dtype=np.int64),
+            np.empty(0),
+            np.empty(0, dtype=bool),
+        )
+    return acc.live_columns()

@@ -124,11 +124,6 @@ class ServeConfig:
             widening tunables are resolved against ``omega_ms``).
         compensate_output: Answer queries with PECJ-lite completeness
             compensation (False serves observed-only answers).
-        shard_rebuild: Shard storage mode — ``"runs"`` (default) rides
-            the incremental sorted-run structure and delta grid,
-            ``"full"`` is the full-rebuild reference
-            (:class:`~repro.serve.shards.ShardStore`); answers are
-            equal either way, only cost differs.
         telemetry: Live-telemetry tunables (sampling cadence, SLO
             policy, audit switch); ``TelemetryConfig(enabled=False)``
             pins the pre-telemetry no-op path.
@@ -156,14 +151,11 @@ class ServeConfig:
     migrate_at_ms: float | None = None
     degrade: DegradeConfig = field(default_factory=DegradeConfig)
     compensate_output: bool = True
-    shard_rebuild: str = "runs"
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
 
     def __post_init__(self) -> None:
         if self.tenants < 1 or self.n_shards < 1:
             raise ValueError("need at least one tenant and one shard")
-        if self.shard_rebuild not in ("runs", "full"):
-            raise ValueError(f"unknown shard_rebuild mode {self.shard_rebuild!r}")
         if self.tick_ms <= 0.0 or self.duration_ms < self.tick_ms:
             raise ValueError("need 0 < tick_ms <= duration_ms")
         if not 1 <= self.min_workers <= self.max_workers:
@@ -222,7 +214,6 @@ class JoinService:
                 self.agg,
                 config.window_ms,
                 config.retention_ms,
-                rebuild=config.shard_rebuild,
             )
             for i in range(config.n_shards)
         ]

@@ -179,6 +179,33 @@ class TestAppendContract:
                 np.array([1.0]), np.array([True]),
             )
 
+    def test_negative_key_rejected_before_any_window_changes(self):
+        """A chunk whose later window holds a negative key used to
+        bump that window's counts before bincount refused the key,
+        leaving a window with ``n == 0`` but a nonzero ``c_r``."""
+        grid = DeltaGrid(4, 10.0)
+        grid.delta_append(
+            np.array([1.0, 2.0]), np.array([1.0, 2.0]),
+            np.array([1, 1], dtype=np.int64), np.ones(2), np.array([True, False]),
+        )
+
+        def state():
+            windows = {
+                idx: (w.n, w.c_r.tolist(), w.c_s.tolist(), w.sum_rv.tolist())
+                for idx, w in grid._windows.items()
+            }
+            answers = [grid.query(i, by) for i in (0, 1) for by in (None, 1.5, 20.0)]
+            return windows, grid.appends, answers
+
+        before = state()
+        with pytest.raises(ValueError, match="non-negative"):
+            grid.delta_append(
+                np.array([11.0, 12.0]), np.array([11.0, 12.0]),
+                np.array([2, -1], dtype=np.int64), np.ones(2), np.array([True, False]),
+            )
+        assert state() == before
+        assert len(grid) == 1 and grid.appends == 1
+
     def test_drop_below_releases_only_stale_windows(self):
         rng = np.random.default_rng(23)
         chunks = random_chunks(rng, 8)

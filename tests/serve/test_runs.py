@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve.runs import RunStack, SortedRun, merge_sorted_runs
+from repro.serve.runs import RunStack, SortedRun, merge_runs, merge_sorted_runs
 
 
 def random_run(rng, n, lo=0.0, hi=1000.0):
@@ -162,13 +162,13 @@ class TestRunStack:
             run = random_run(rng, int(rng.integers(1, 80)))
             events.append(run.event.copy())
             stack.append(run)
-        cols = stack.merged_columns()
+        cols = merge_runs(stack.runs)
         assert np.array_equal(
             cols[0], np.sort(np.concatenate(events), kind="stable")
         )
 
     def test_empty_stack_yields_typed_columns(self):
-        cols = RunStack().merged_columns()
+        cols = merge_runs(RunStack().runs)
         assert [c.dtype.kind for c in cols] == ["f", "f", "i", "f", "b"]
         assert all(len(c) == 0 for c in cols)
 
@@ -204,5 +204,5 @@ class TestRunStack:
                     np.zeros(len(e)), np.zeros(len(e), dtype=bool),
                 )
             )
-        cols = stack.merged_columns()
+        cols = merge_runs(stack.runs)
         assert np.array_equal(cols[0], np.arange(0.0, 500.0, 1.0))

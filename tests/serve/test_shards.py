@@ -1,20 +1,22 @@
 """Shard state: ingest, PECJ-lite compensation, eviction, checkpoint."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from repro.bench.serve_bench import FullRebuildShard
 from repro.joins.arrays import AggKind, BatchArrays
 from repro.serve.shards import ShardStore
 
 
-def make_shard(**kwargs):
+def make_shard(shard_cls=ShardStore, **kwargs):
     defaults = dict(
         shard_id=0, num_keys=16, agg=AggKind.COUNT, window_ms=50.0, retention_ms=400.0
     )
     defaults.update(kwargs)
-    return ShardStore(**defaults)
+    return shard_cls(**defaults)
 
 
 def uniform_batch(rng, n, t_lo, t_hi, mean_delay=4.0, num_keys=16):
@@ -157,10 +159,12 @@ class TestCheckpoint:
         assert restored.queries == 4
 
     def test_rejects_unknown_snapshot_version(self):
-        snapshot = make_shard().checkpoint()
-        snapshot["version"] = 99
-        with pytest.raises(ValueError):
-            ShardStore.restore(snapshot)
+        """Only schema v2 restores; v1 ``.tolist()`` snapshots are refused."""
+        for version in (1, 99):
+            snapshot = make_shard().checkpoint()
+            snapshot["version"] = version
+            with pytest.raises(ValueError, match="unsupported shard snapshot version"):
+                ShardStore.restore(snapshot)
 
     def test_v2_snapshot_packs_columns_as_base64(self):
         rng = np.random.default_rng(9)
@@ -178,32 +182,45 @@ class TestCheckpoint:
         listed = len(json.dumps({"event": event.tolist()})) * 5
         assert packed < listed
 
-    def test_v1_legacy_snapshot_restores(self):
-        """Snapshots written before the base64 format (version 1,
-        ``.tolist()`` columns, no ``queries``/``rebuild`` fields) must
-        keep restoring after the version bump."""
-        rng = np.random.default_rng(10)
-        shard = make_shard(retention_ms=2000.0)
-        cols = uniform_batch(rng, 800, 0.0, 150.0)
-        shard.ingest(*cols)
-        modern = shard.checkpoint()
-        legacy = dict(modern, version=1)
-        del legacy["queries"]
-        del legacy["rebuild"]
-        order = np.argsort(np.asarray(cols[0]), kind="stable")
-        live = np.asarray(cols[0])[order] >= shard._max_arrival - shard.retention_ms
-        legacy["columns"] = {
-            "event": np.asarray(cols[0], dtype=float)[order][live].tolist(),
-            "arrival": np.asarray(cols[1], dtype=float)[order][live].tolist(),
-            "key": np.asarray(cols[2], dtype=np.int64)[order][live].tolist(),
-            "payload": np.asarray(cols[3], dtype=float)[order][live].tolist(),
-            "is_r": np.asarray(cols[4], dtype=bool)[order][live].tolist(),
-        }
-        restored = ShardStore.restore(json.loads(json.dumps(legacy)))
-        assert restored.queries == 0  # v1 never recorded it
-        a = shard.query(50.0, 100.0, available_by=200.0)
-        b = restored.query(50.0, 100.0, available_by=200.0)
-        assert a == b
+
+def seeded_shard(isolate_hot: bool) -> ShardStore:
+    """A SUM shard fed 40 skewed ticks with interleaved queries,
+    optionally isolating two hot keys a third of the way in.  Event
+    times are whole milliseconds, so hot and cold rows tie often and
+    the snapshot pins their merge order too."""
+    rng = np.random.default_rng(2024)
+    shard = ShardStore(3, 16, AggKind.SUM, 100.0, 450.0)
+    clock = 0.0
+    for tick in range(40):
+        clock += 25.0
+        arrival = np.sort(clock - rng.uniform(0.0, 25.0, 30))
+        event = np.floor(np.maximum(arrival - rng.gamma(2.0, 15.0, 30), 0.0))
+        key = rng.integers(0, 16, 30).astype(np.int64)
+        key[rng.random(30) < 0.4] = 5
+        shard.ingest(event, arrival, key, rng.uniform(0.0, 2.0, 30), rng.random(30) < 0.5)
+        if tick == 12 and isolate_hot:
+            shard.isolate_hot_keys([5, 9])
+        if tick % 3 == 0:
+            start = (clock // 100.0 - 1) * 100.0
+            shard.query(start, start + 100.0, clock + 10.0)
+    return shard
+
+
+#: SHA-256 of the seeded shards' checkpoint JSON.  A mismatch means the
+#: snapshot bytes changed, and with them every migration payload and the
+#: ``serve.shard.ckpt_bytes`` values the serve baselines gate.
+PINNED_CHECKPOINT_SHA256 = {
+    False: "78e4611a281520d3b6a901e528772a97ba0aa8807454626a96d9dbfb34b49f92",
+    True: "23f5a42a4ba2d964a43153a9ed2702e6f23e8ddafcbeef5e577ca6a19f9fddc9",
+}
+
+
+@pytest.mark.parametrize("isolate_hot", [False, True], ids=["cold", "hot"])
+def test_seeded_checkpoint_bytes_are_pinned(isolate_hot):
+    snapshot = seeded_shard(isolate_hot).checkpoint()
+    assert ("hot_keys" in snapshot) == isolate_hot
+    digest = hashlib.sha256(json.dumps(snapshot).encode()).hexdigest()
+    assert digest == PINNED_CHECKPOINT_SHA256[isolate_hot]
 
 
 class TestIngestContract:
@@ -238,18 +255,20 @@ class TestIngestContract:
             )
         assert len(shard) == 0 and shard.ingested == 0
 
-    @pytest.mark.parametrize("rebuild", ["runs", "full"])
+    @pytest.mark.parametrize(
+        "shard_cls", [ShardStore, FullRebuildShard], ids=["runs", "full"]
+    )
     @pytest.mark.parametrize(
         "event, arrival",
         [([1.0, 2.0], [3.0, np.inf]), ([np.nan, 2.0], [3.0, 4.0]),
          ([1.0, 2.0], [np.nan, 4.0]), ([-np.inf, 2.0], [3.0, 4.0])],
     )
-    def test_non_finite_times_rejected_before_mutation(self, rebuild, event, arrival):
+    def test_non_finite_times_rejected_before_mutation(self, shard_cls, event, arrival):
         """A non-finite time used to be appended to the runs before the
         profile saw it; now the batch is refused with nothing touched."""
         rng = np.random.default_rng(3)
-        shard = make_shard(rebuild=rebuild)
-        twin = make_shard(rebuild=rebuild)
+        shard = make_shard(shard_cls)
+        twin = make_shard(shard_cls)
         cols = uniform_batch(rng, 200, 0.0, 50.0)
         shard.ingest(*cols)
         twin.ingest(*cols)
@@ -261,7 +280,3 @@ class TestIngestContract:
             )
         assert (len(shard), shard.ingested, shard.horizon, shard.profile.weight) == before
         assert shard.query(0.0, 50.0, 100.0) == twin.query(0.0, 50.0, 100.0)
-
-    def test_rejects_unknown_rebuild_mode(self):
-        with pytest.raises(ValueError):
-            make_shard(rebuild="partial")

@@ -37,10 +37,6 @@ SPANS = [(50.0, 100.0, 130.0), (100.0, 150.0, 160.0), (150.0, 200.0, 260.0)]
 
 
 class TestValidation:
-    def test_full_mode_rejected(self):
-        with pytest.raises(ValueError, match="rebuild='runs'"):
-            make_shard(rebuild="full").isolate_hot_keys([1])
-
     def test_out_of_range_key_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             make_shard().isolate_hot_keys([16])

@@ -1,14 +1,15 @@
-"""Property gate: incremental (runs) shard state equals the full-rebuild
+"""Property gate: incremental shard state equals the full-rebuild
 reference across randomized ingest/query/evict/checkpoint/migrate
 interleavings.
 
-The two :class:`~repro.serve.shards.ShardStore` modes are driven in
+:class:`~repro.serve.shards.ShardStore` and
+:class:`~repro.bench.serve_bench.FullRebuildShard` are driven in
 lockstep through the same randomized operation sequence; after every
 query the answers must agree — integer accounting (``n_r``/``n_s``/
 ``starved``/``evicted``/``len``) bit for bit, values exactly for COUNT
 and to summation-order rounding for SUM/AVG — and the invariants must
 keep holding across checkpoint/restore (including migrating a shard
-*between* modes mid-run).
+*between* the two classes mid-run).
 """
 
 import json
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.serve_bench import FullRebuildShard
 from repro.joins.arrays import AggKind
 from repro.serve.shards import ShardStore
 
@@ -28,10 +30,8 @@ TICK_MS = 25.0
 
 
 def make_pair(agg, retention_ms=RETENTION_MS):
-    mk = lambda mode: ShardStore(
-        0, NUM_KEYS, agg, WINDOW_MS, retention_ms, rebuild=mode
-    )
-    return mk("runs"), mk("full")
+    args = (0, NUM_KEYS, agg, WINDOW_MS, retention_ms)
+    return ShardStore(*args), FullRebuildShard(*args)
 
 
 def arrival_batch(rng, clock, n, mean_delay=15.0):
@@ -84,10 +84,9 @@ class TestInterleavings:
                 ctx = (seed, step, start, clock)
                 assert_answers_equal(a, b, agg, ctx)
                 assert_accounting_equal(inc, ref, ctx)
-            elif op < 0.97:  # checkpoint/restore (same-mode migration)
+            elif op < 0.97:  # checkpoint/restore (same-class migration)
                 inc = ShardStore.restore(json.loads(json.dumps(inc.checkpoint())))
-                ref = ShardStore.restore(json.loads(json.dumps(ref.checkpoint())))
-                assert inc.rebuild == "runs" and ref.rebuild == "full"
+                ref = FullRebuildShard.restore(json.loads(json.dumps(ref.checkpoint())))
                 assert_accounting_equal(inc, ref, (seed, step))
             else:  # off-grid window: the scan fallback path
                 start = float(rng.uniform(0.0, max(clock, 1.0)))
@@ -98,8 +97,8 @@ class TestInterleavings:
         assert inc.queries == ref.queries
 
     def test_cross_mode_migration(self):
-        """A snapshot written by one mode restores into the other (by
-        editing the recorded mode) and keeps answering identically."""
+        """A snapshot written by one shard class restores into the other
+        and keeps answering identically."""
         rng = np.random.default_rng(99)
         inc, ref = make_pair(AggKind.COUNT)
         clock = 0.0
@@ -110,8 +109,8 @@ class TestInterleavings:
             ref.ingest(*cols)
         snap_inc = inc.checkpoint()
         snap_ref = ref.checkpoint()
-        swapped_to_full = ShardStore.restore(dict(snap_inc, rebuild="full"))
-        swapped_to_runs = ShardStore.restore(dict(snap_ref, rebuild="runs"))
+        swapped_to_full = FullRebuildShard.restore(snap_inc)
+        swapped_to_runs = ShardStore.restore(snap_ref)
         start = (clock // WINDOW_MS - 2) * WINDOW_MS
         answers = [
             s.query(start, start + WINDOW_MS, clock)
@@ -149,7 +148,7 @@ class TestCheckpointDuringCompaction:
         for _ in range(15):
             clock += TICK_MS
             shard.ingest(*arrival_batch(rng, clock, 32))
-        before_runs = len(shard._runs)
+        before_runs = len(shard._stores[0].runs)
         snap_a = json.loads(json.dumps(shard.checkpoint()))
         # This ingest triggers at least one merge (a restored checkpoint
         # is a single run; equal-size appends compact immediately).
@@ -160,7 +159,7 @@ class TestCheckpointDuringCompaction:
         restored_a = ShardStore.restore(snap_a)
         restored_a.ingest(*tick_cols)
         restored_b = ShardStore.restore(snap_b)
-        assert shard._runs.compactions > 0 or before_runs > 1
+        assert shard._stores[0].runs.compactions > 0 or before_runs > 1
         for widx in range(int(clock // WINDOW_MS) + 1):
             start = widx * WINDOW_MS
             live = shard.query(start, start + WINDOW_MS, clock)
@@ -206,8 +205,8 @@ _ops = st.one_of(
 
 def late_batch(rng, shard, n):
     """Tuples whose events are already behind ``shard``'s horizon and
-    whose arrivals leave its newest arrival unchanged — full mode drops
-    them at its next rebuild, so the incremental shard must too."""
+    whose arrivals leave its newest arrival unchanged — the reference
+    drops them at its next rebuild, so the incremental shard must too."""
     newest = shard._max_arrival
     event = shard.horizon - rng.uniform(1.0, 150.0, n)
     arrival = np.sort(rng.uniform(newest - TICK_MS, newest, n))
@@ -225,7 +224,8 @@ def late_batch(rng, shard, n):
 def test_horizon_memo_lockstep(agg, seed, warmup, ops):
     """Back-to-back queries, late chunks behind an unchanged horizon,
     hot-key isolation and restore, each followed by queries: the
-    incremental shard's ``evicted``, ``len`` and answers track full mode."""
+    incremental shard's ``evicted``, ``len`` and answers track the
+    full-rebuild reference."""
     rng = np.random.default_rng(seed)
     inc, ref = make_pair(agg, MEMO_RETENTION_MS)
     clock = 0.0
@@ -251,7 +251,7 @@ def test_horizon_memo_lockstep(agg, seed, warmup, ops):
             repeats = 1
         elif kind == "restore":
             inc = ShardStore.restore(json.loads(json.dumps(inc.checkpoint())))
-            ref = ShardStore.restore(json.loads(json.dumps(ref.checkpoint())))
+            ref = FullRebuildShard.restore(json.loads(json.dumps(ref.checkpoint())))
             repeats = 1
         else:
             repeats = op[2]
@@ -268,7 +268,7 @@ def test_horizon_memo_lockstep(agg, seed, warmup, ops):
 def test_restored_shard_evicts_stale_snapshot_rows():
     """A snapshot whose columns reach behind its own horizon (a
     hand-built or edited one) restores into a shard that evicts those
-    rows at its first query, exactly as full mode does."""
+    rows at its first query, exactly as the full-rebuild reference does."""
     rng = np.random.default_rng(17)
     inc, _ = make_pair(AggKind.COUNT)
     clock = 0.0
@@ -278,7 +278,7 @@ def test_restored_shard_evicts_stale_snapshot_rows():
     snap = json.loads(json.dumps(inc.checkpoint()))
     snap["max_arrival"] += 400.0
     restored = ShardStore.restore(snap)
-    ref = ShardStore.restore(dict(snap, rebuild="full"))
+    ref = FullRebuildShard.restore(snap)
     start = (clock // WINDOW_MS) * WINDOW_MS
     for _ in range(2):
         a = restored.query(start, start + WINDOW_MS, clock + 20.0)
