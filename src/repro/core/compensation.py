@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.joins.arrays import AggKind
 
-__all__ = ["CompensatedEstimate", "compensate", "product_interval"]
+__all__ = ["CompensatedEstimate", "compensate", "compensated_value", "product_interval"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,16 +59,30 @@ def compensate(
     n_r = max(0.0, n_r)
     n_s = max(0.0, n_s)
     sigma = max(0.0, sigma)
-    count = sigma * n_r * n_s
-    if agg is AggKind.COUNT:
-        value = count
-    elif agg is AggKind.SUM:
-        value = count * alpha_r
-    elif agg is AggKind.AVG:
-        value = alpha_r
-    else:
-        raise ValueError(f"unknown aggregation {agg!r}")
+    value = compensated_value(agg, n_r, n_s, sigma, alpha_r)
     return CompensatedEstimate(value, n_r, n_s, sigma, alpha_r)
+
+
+def compensated_value(
+    agg: AggKind,
+    n_r: float,
+    n_s: float,
+    sigma: float,
+    alpha_r: float = 0.0,
+) -> float:
+    """The output ``O`` of :func:`compensate` alone, same clamping.
+
+    For callers that need only the answer (the serving shard's
+    per-query path), without building the estimate record.
+    """
+    count = max(0.0, sigma) * max(0.0, n_r) * max(0.0, n_s)
+    if agg is AggKind.COUNT:
+        return count
+    if agg is AggKind.SUM:
+        return count * alpha_r
+    if agg is AggKind.AVG:
+        return alpha_r
+    raise ValueError(f"unknown aggregation {agg!r}")
 
 
 def product_interval(

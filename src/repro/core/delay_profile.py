@@ -27,6 +27,51 @@ import numpy as np
 __all__ = ["DelayProfile"]
 
 
+def _pairwise_sum(vals: list[float]) -> float:
+    """``float(np.add.reduce(vals))`` for a list of floats, bit for bit.
+
+    Mirrors the reduction numpy runs on a contiguous float64 array
+    (:func:`_pairwise`), added to the reduction's identity ``0.0`` the
+    way numpy seeds it (which turns an all ``-0.0`` sum into ``0.0``),
+    without building an array.
+    """
+    return 0.0 + _pairwise(vals, 0, len(vals))
+
+
+def _pairwise(vals: list[float], lo: int, n: int) -> float:
+    """``vals[lo:lo + n]`` summed in numpy's pairwise order.
+
+    Below eight values one left-to-right sum from ``0.0``; up to 128
+    values eight strided accumulators combined as a balanced tree, then
+    the remainder added in order; beyond that the two halves (split at a
+    multiple of eight), recursively.
+    """
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += vals[i]
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = vals[lo : lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += vals[i]
+            r1 += vals[i + 1]
+            r2 += vals[i + 2]
+            r3 += vals[i + 3]
+            r4 += vals[i + 4]
+            r5 += vals[i + 5]
+            r6 += vals[i + 6]
+            r7 += vals[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            res += vals[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(vals, lo, half) + _pairwise(vals, lo + half, n - half)
+
+
 class DelayProfile:
     """Histogram estimate of the tuple-delay CDF with forgetting.
 
@@ -64,6 +109,12 @@ class DelayProfile:
         # cached values are exactly what the queries used to recompute,
         # so answers are bit-identical.
         self._cdf_cache: tuple[np.ndarray, float] | None = None
+        # Python-list copies of the cached CDF and of the counts, for the
+        # scalar :meth:`mean_completeness`; the first entry is the
+        # ``_cdf_cache`` tuple they were copied under, so any reset of
+        # the cache (update, grow, decay, restore, a poisoning write)
+        # invalidates them too.
+        self._cdf_lists: tuple[tuple[np.ndarray, float], list, list] | None = None
         # Bin edges of the current span, the ones ``np.histogram`` would
         # build for ``range=(0, span)``; keyed by span so a grow (or a
         # restore that writes ``_span`` directly) rebuilds them.
@@ -207,48 +258,54 @@ class DelayProfile:
 
         Bit-identical to ``float(np.mean(np.clip(self.completeness_many(
         ages), 0.0, 1.0)))`` — the per-window compensation idiom — but
-        computed with Python scalars, which is several times cheaper on
-        the handful of bucket ages a window query averages.  Each age
-        follows :meth:`completeness_many`'s expressions, the clip keeps
-        numpy's NaN propagation (a poisoned profile must answer NaN, not
-        the 1.0 the scalar :meth:`completeness` would give), and the
-        values are summed with numpy's pairwise ``np.add.reduce`` so the
+        computed with Python scalars on list copies of the cached CDF
+        and counts, which is several times cheaper on the handful of
+        bucket ages a window query averages.  Each age follows
+        :meth:`completeness_many`'s expressions, the clip keeps numpy's
+        NaN propagation (a poisoned profile must answer NaN, not the 1.0
+        the scalar :meth:`completeness` would give), and the values are
+        summed in numpy's pairwise order (:func:`_pairwise_sum`) so the
         rounding matches ``np.mean``.  Pass a list: iterating an array
         gives the same answer, only slower.
         """
-        if not self.is_warm:
+        if self._total < self.min_weight:  # cold: no compensation
             return 1.0
-        cdf, total = self._cdf()
+        cache = self._cdf_cache or self._cdf()
+        total = cache[1]
         if total <= 0.0:
             return 1.0
-        counts = self._counts
+        lists = self._cdf_lists
+        if lists is None or lists[0] is not cache:
+            lists = self._cdf_lists = (cache, cache[0].tolist(), self._counts.tolist())
+        _, cdf, counts = lists
         nb = self.num_bins
         span = self._span
         bin_width = span / nb
         vals = []
+        append = vals.append
         for age in ages:
             if age <= 0.0:
-                vals.append(0.0)
-                continue
-            if age >= span:
-                vals.append(1.0)
-                continue
-            if age != age:
-                vals.append(math.nan)
-                continue
-            pos = age / bin_width
-            idx = min(int(pos), nb)
-            below = cdf[idx - 1] if idx > 0 else 0.0
-            inside = counts[idx] * (pos - idx) if idx < nb else 0.0
-            v = (below + inside) / total
-            # np.minimum(1.0, v) then np.clip(v, 0.0, 1.0); NaN and -0.0
-            # pass through both unchanged.
-            if v > 1.0:
-                v = 1.0
-            elif v < 0.0:
-                v = 0.0
-            vals.append(v)
-        return float(np.add.reduce(vals) / len(vals))
+                append(0.0)
+            elif age >= span:
+                append(1.0)
+            elif age != age:
+                append(math.nan)
+            else:
+                pos = age / bin_width
+                # 0 < age < span keeps int(pos) <= nb, so this is
+                # completeness_many's clipped index.
+                idx = int(pos)
+                below = cdf[idx - 1] if idx > 0 else 0.0
+                inside = counts[idx] * (pos - idx) if idx < nb else 0.0
+                v = (below + inside) / total
+                # np.minimum(1.0, v) then np.clip(v, 0.0, 1.0); NaN and
+                # -0.0 pass through both unchanged.
+                if v > 1.0:
+                    v = 1.0
+                elif v < 0.0:
+                    v = 0.0
+                append(v)
+        return _pairwise_sum(vals) / len(vals)
 
     def quantile_age(self, p: float) -> float:
         """Inverse CDF: the age by which a fraction ``p`` has arrived.

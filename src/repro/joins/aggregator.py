@@ -345,12 +345,12 @@ class DeltaAppendError(ValueError):
     """An appended chunk is not clock-monotone against the grid's state.
 
     :meth:`DeltaGrid.delta_append` requires each touched window's new
-    tuples to start at or after that window's last appended clock value
-    (prefix aggregates only ever *extend*).  The serving layer's ingest
-    is arrival-ordered so this never fires in steady state; callers
-    that cannot guarantee it (restores, adversarial tests) catch this
-    and rebuild the grid from their run storage.  The grid is left
-    unmodified when this is raised.
+    tuples to start at or after that window's last appended clock value,
+    pending segments included (prefix aggregates only ever *extend*).
+    The serving layer's ingest is arrival-ordered so this never fires in
+    steady state; callers that cannot guarantee it (restores,
+    adversarial tests) catch this and rebuild the grid from their run
+    storage.  The grid is left unmodified when this is raised.
     """
 
 
@@ -360,10 +360,16 @@ class _DeltaWindow:
     Holds the dense per-key join state (``c_r``/``c_s``/``sum_rv``) the
     O(1)-per-tuple insertion kernel rolls forward, plus the clock-sorted
     inclusive prefix columns queries binary-search.  Arrays grow by
-    doubling, so appending is amortized O(1) per tuple.
+    doubling, so folding is amortized O(1) per tuple.  ``pending`` holds
+    the appended segments not yet folded into the prefix columns, as
+    ``(key, payload, is_r, clock)`` views in append order, and ``last``
+    the largest clock appended so far, pending segments included.
     """
 
-    __slots__ = ("c_r", "c_s", "sum_rv", "n", "clock", "p_matches", "p_sum", "p_nr", "p_ns")
+    __slots__ = (
+        "c_r", "c_s", "sum_rv", "n", "clock", "p_matches", "p_sum", "p_nr", "p_ns",
+        "last", "pending",
+    )
 
     def __init__(self, num_keys: int):
         self.c_r = np.zeros(num_keys, dtype=np.int64)
@@ -375,6 +381,8 @@ class _DeltaWindow:
         self.p_sum = np.empty(0)
         self.p_nr = np.empty(0, dtype=np.int64)
         self.p_ns = np.empty(0, dtype=np.int64)
+        self.last = -math.inf
+        self.pending: list[tuple[np.ndarray, ...]] = []
 
     def _reserve(self, extra: int) -> None:
         need = self.n + extra
@@ -407,22 +415,31 @@ class DeltaGrid:
 
     Where :class:`_GridIndex` builds its prefix columns in one batch
     sweep and must be rebuilt from scratch whenever the batch grows,
-    ``DeltaGrid`` *extends* per-window prefix state chunk by chunk: each
-    appended chunk only builds its own small deltas — O(new tuples +
-    touched windows) — seeded from the accumulated per-key counts, so a
-    pair spanning two chunks is charged exactly once, in the chunk that
-    holds the later tuple.  After any append sequence, a window's
-    prefix at clock cut ``t`` equals what a from-scratch
-    :class:`_GridIndex` over the union would report: integer columns
-    (``n_r``/``n_s``/``matches``) bit for bit, the float payload sum to
-    within summation-order rounding.
+    ``DeltaGrid`` *extends* per-window prefix state: each fold builds
+    only the new tuples' deltas — O(new tuples) — seeded from the
+    accumulated per-key counts, so a pair spanning two folds is charged
+    exactly once, in the fold that holds the later tuple.  After any
+    append sequence, a window's prefix at clock cut ``t`` equals what a
+    from-scratch :class:`_GridIndex` over the union would report:
+    integer columns (``n_r``/``n_s``/``matches``) bit for bit, the
+    float payload sum to within summation-order rounding.
+
+    Folding is on read.  An append validates the chunk and buffers each
+    touched window's segment as views of the appended columns (callers
+    must not mutate them afterwards); the first read of a window
+    (:meth:`query`, :attr:`nbytes`) folds all of its pending segments
+    with one stable clock sort and one prefix extension.  A window
+    absorbs many appends between reads, so most appends cost a few
+    reductions instead of a prefix extension each.  Segments are
+    clock-monotone across appends, so the fold orders tuples exactly as
+    folding each append at once would.
 
     The availability clock must be nondecreasing per window across
-    appends (:class:`DeltaAppendError` otherwise); within a chunk any
-    order is fine — each window segment is clock-sorted during the
-    append.  This is the aggregation engine behind
-    :class:`repro.serve.shards.ShardStore`'s incremental mode; the
-    generic batch path keeps using :class:`WindowAggregator`.
+    appends (:class:`DeltaAppendError` otherwise, checked against the
+    window's last appended clock, pending segments included); within a
+    chunk any order is fine.  This is the aggregation engine behind
+    :class:`repro.serve.shards.ShardStore`; the generic batch path keeps
+    using :class:`WindowAggregator`.
 
     Args:
         num_keys: Dense width of the per-key count state (appending a
@@ -459,7 +476,14 @@ class DeltaGrid:
 
     @property
     def nbytes(self) -> int:
-        """Memory held by all window states (the grid's working set)."""
+        """Memory held by all window states (the grid's working set).
+
+        Folds every window's pending segments first, so the figure is
+        the folded prefix state's.
+        """
+        for win in self._windows.values():
+            if win.pending:
+                self._fold(win)
         return sum(w.nbytes for w in self._windows.values())
 
     def __len__(self) -> int:
@@ -475,7 +499,7 @@ class DeltaGrid:
         payload: np.ndarray,
         is_r: np.ndarray,
     ) -> int:
-        """Fold one event-sorted chunk into the grid; touched windows.
+        """Buffer one event-sorted chunk in the grid; touched windows.
 
         ``event`` must be sorted ascending (a
         :class:`repro.serve.runs.SortedRun` provides this for free);
@@ -483,12 +507,15 @@ class DeltaGrid:
         semantics of :class:`_GridIndex`, so boundary tuples land in the
         same window as the reference.  The whole validation pass runs
         before any state is touched: on :class:`DeltaAppendError`, or
-        the ``ValueError`` of a key outside ``[0, num_keys)``, the grid
-        is unchanged.
+        the ``ValueError`` of a non-finite event or clock value or of a
+        key outside ``[0, num_keys)``, the grid is unchanged.  Each
+        touched window keeps its segment pending until its next read.
         """
         n = len(event)
         if n == 0:
             return 0
+        if not (np.isfinite(event).all() and np.isfinite(clock).all()):
+            raise ValueError("event and clock values must be finite")
         if int(key.min()) < 0:
             raise negative_key_error(int(key.min()))
         if int(key.max()) >= self.num_keys:
@@ -498,42 +525,52 @@ class DeltaGrid:
         w_lo = math.floor((float(event[0]) - self.origin) / self.length) - 1
         w_hi = math.floor((float(event[-1]) - self.origin) / self.length) + 1
         edges = self.origin + np.arange(w_lo, w_hi + 2, dtype=np.float64) * self.length
-        bounds = np.searchsorted(event, edges, side="left").astype(np.int64)
+        bounds = event.searchsorted(edges, side="left").tolist()
         if bounds[0] != 0 or bounds[-1] != n:
             raise AssertionError("grid padding failed to cover the chunk")
-        # Pass 1: order every touched segment by clock and validate
-        # monotonicity against existing window state — all or nothing.
-        segments: list[tuple[int, int, int, np.ndarray]] = []
+        # Pass 1: validate every touched segment's clock range against
+        # its window's last appended clock — all or nothing.
+        windows = self._windows
+        segments: list[tuple[int, int, int, float]] = []
         for i in range(len(bounds) - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
+            lo, hi = bounds[i], bounds[i + 1]
             if hi <= lo:
                 continue
             idx = w_lo + i
-            order = np.argsort(clock[lo:hi], kind="stable")
-            win = self._windows.get(idx)
-            if win is not None and win.n:
-                if float(clock[lo + int(order[0])]) < float(win.clock[win.n - 1]):
-                    raise DeltaAppendError(
-                        f"window {idx}: chunk clock "
-                        f"{float(clock[lo + int(order[0])])} precedes the "
-                        f"window's last appended clock "
-                        f"{float(win.clock[win.n - 1])}"
-                    )
-            segments.append((idx, lo, hi, order))
-        # Pass 2: apply.
-        for idx, lo, hi, order in segments:
-            win = self._windows.get(idx)
+            seg = clock[lo:hi]
+            first = float(seg.min())
+            win = windows.get(idx)
+            if win is not None and first < win.last:
+                raise DeltaAppendError(
+                    f"window {idx}: chunk clock {first} precedes the "
+                    f"window's last appended clock {win.last}"
+                )
+            segments.append((idx, lo, hi, float(seg.max())))
+        # Pass 2: buffer each segment; its window folds it on read.
+        for idx, lo, hi, last in segments:
+            win = windows.get(idx)
             if win is None:
-                win = self._windows[idx] = _DeltaWindow(self.num_keys)
-            self._append_segment(
-                win,
-                key[lo:hi][order],
-                payload[lo:hi][order],
-                is_r[lo:hi][order],
-                clock[lo:hi][order],
-            )
+                win = windows[idx] = _DeltaWindow(self.num_keys)
+            win.pending.append((key[lo:hi], payload[lo:hi], is_r[lo:hi], clock[lo:hi]))
+            win.last = last
         self.appends += 1
         return len(segments)
+
+    def _fold(self, win: _DeltaWindow) -> None:
+        """Roll a window's pending segments into its prefix state.
+
+        Each pending segment's clocks start at or after the previous
+        one's end, so one stable sort of their concatenation orders the
+        tuples exactly as sorting each segment on its own would.
+        """
+        pending = win.pending
+        win.pending = []
+        if len(pending) == 1:
+            key, payload, is_r, clock = pending[0]
+        else:
+            key, payload, is_r, clock = (np.concatenate(col) for col in zip(*pending))
+        order = np.argsort(clock, kind="stable")
+        self._append_segment(win, key[order], payload[order], is_r[order], clock[order])
 
     def _append_segment(
         self,
@@ -584,16 +621,20 @@ class DeltaGrid:
     # -- queries --------------------------------------------------------------
 
     def query(self, idx: int, available_by: float | None) -> WindowAggregate:
-        """Aggregate of grid window ``idx`` over its available prefix."""
+        """Aggregate of grid window ``idx`` over its available prefix.
+
+        Folds the window's pending segments first.
+        """
         win = self._windows.get(idx)
-        if win is None or win.n == 0:
+        if win is None:
             return _EMPTY
-        if available_by is None:
-            j = win.n
-        else:
-            j = int(
-                np.searchsorted(win.clock[: win.n], available_by, side="right")
-            )
+        if win.pending:
+            self._fold(win)
+        j = win.n
+        if j == 0:
+            return _EMPTY
+        if available_by is not None:
+            j = int(win.clock[:j].searchsorted(available_by, side="right"))
         if j == 0:
             return _EMPTY
         return WindowAggregate(
@@ -607,9 +648,9 @@ class DeltaGrid:
         """Drop whole window states with index below ``min_idx``.
 
         The retention analog of run eviction: a window entirely behind
-        the horizon can never be grid-answered again, so its state is
-        released in one dict deletion — survivors untouched.  Returns
-        the number of windows dropped.
+        the horizon can never be grid-answered again, so its state,
+        pending segments included, is released in one dict deletion —
+        survivors untouched.  Returns the number of windows dropped.
         """
         stale = [idx for idx in self._windows if idx < min_idx]
         for idx in stale:

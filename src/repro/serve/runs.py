@@ -91,7 +91,7 @@ class SortedRun:
 
     def advance_frontier(self, horizon: float) -> int:
         """Expire tuples with ``event < horizon``; newly expired count."""
-        ptr = int(np.searchsorted(self.event, horizon, side="left"))
+        ptr = int(self.event.searchsorted(horizon, side="left"))
         newly = ptr - self.evict_ptr
         if newly > 0:
             self.evict_ptr = ptr
@@ -110,8 +110,8 @@ class SortedRun:
 
     def live_slice(self, lo: float, hi: float) -> slice:
         """Live index range with ``lo <= event < hi`` (for window scans)."""
-        start = int(np.searchsorted(self.event, lo, side="left"))
-        stop = int(np.searchsorted(self.event, hi, side="left"))
+        start = int(self.event.searchsorted(lo, side="left"))
+        stop = int(self.event.searchsorted(hi, side="left"))
         return slice(max(start, self.evict_ptr), stop)
 
 
@@ -137,11 +137,12 @@ def merge_sorted_runs(a: SortedRun, b: SortedRun) -> SortedRun:
     pos_b = np.searchsorted(ae, be, side="right") + np.arange(len(be), dtype=np.int64)
     mask_b = np.zeros(n, dtype=bool)
     mask_b[pos_b] = True
+    mask_a = ~mask_b
     out = []
     for col_a, col_b in ((ae, be), (aa, ba), (ak, bk), (ap, bp), (ar, br)):
         merged = np.empty(n, dtype=col_a.dtype)
         merged[mask_b] = col_b
-        merged[~mask_b] = col_a
+        merged[mask_a] = col_a
         out.append(merged)
     return SortedRun(*out)
 

@@ -14,7 +14,9 @@ Structure of one service run:
    RNG — per-tick Poisson arrival counts modulated by the fault plan's
    rate spikes (:meth:`FaultPlan.rate_factors`), exponential base
    delays plus burst extra delay (:meth:`FaultPlan.extra_delay_means`)
-   — then sorted by *arrival*, which is the order the service feels it.
+   — then sorted by *arrival*, which is the order the service feels it,
+   and grouped by key shard in the same gather, so each tick hands
+   every shard a contiguous view of its arrivals.
 2. The tick loop advances virtual time in ``tick_ms`` steps.  Each tick
    it (a) dispatches the tick's arrivals to their key shards through
    bounded per-worker :class:`asyncio.Queue`\\ s — a full queue blocks
@@ -261,12 +263,16 @@ class JoinService:
 
     # -- load generation ---------------------------------------------------
 
-    def _generate_ingest(self) -> tuple[np.ndarray, ...]:
-        """Pregenerate the whole ingest trace, sorted by arrival time.
+    def _generate_ingest(self) -> tuple[list[int], tuple[np.ndarray, ...]]:
+        """Pregenerate the whole ingest trace, grouped by key shard.
 
         Per-tick Poisson counts follow the plan's rate factors; each
         tuple's delay is exponential base plus (inside a disorder
-        burst) an exponential extra with the burst's mean.
+        burst) an exponential extra with the burst's mean.  Returns the
+        shard boundaries (shard ``s`` owns rows ``[b[s], b[s + 1])``)
+        and the columns, ordered by shard (``key % n_shards``) and by
+        arrival time within a shard — one gather, so a tick's chunk for
+        a shard is a slice, in the order the service feels it.
         """
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
@@ -287,11 +293,18 @@ class JoinService:
         delay = rng.exponential(cfg.base_delay_ms, n)
         delay += rng.exponential(1.0, n) * extra_mean
         arrival = event + delay
+        del extra_mean, delay  # released before the sort's temporaries
         key = rng.integers(0, cfg.num_keys, n)
         payload = rng.uniform(0.0, 2.0, n)
         is_r = rng.random(n) < 0.5
+        # Stable by arrival, then stable by shard: one composed gather.
         order = np.argsort(arrival, kind="stable")
-        return (
+        shard_of = (key % cfg.n_shards)[order]
+        order = order[np.argsort(shard_of, kind="stable")]
+        sizes = np.bincount(shard_of, minlength=cfg.n_shards)
+        del shard_of
+        bounds = [0] + np.cumsum(sizes).tolist()
+        return bounds, (
             event[order],
             arrival[order],
             key[order],
@@ -536,8 +549,10 @@ class JoinService:
         """The tick loop body of :meth:`run` (inside the scoped registry)."""
         cfg = self.config
         tel = self.telemetry
-        event, arrival, key, payload, is_r = self._generate_ingest()
-        shard_of = key % cfg.n_shards
+        bounds, trace_cols = self._generate_ingest()
+        arrival = trace_cols[1]
+        # Per shard: the next undispatched row of its arrival-sorted slice.
+        cursors = bounds[:-1]
         rng_q = np.random.default_rng(cfg.seed + 1)
         next_submit = rng_q.uniform(0.0, cfg.mean_query_interval_ms, cfg.tenants)
         n_ticks = int(round(cfg.duration_ms / cfg.tick_ms))
@@ -546,7 +561,6 @@ class JoinService:
         self._tasks: list[asyncio.Task] = []
         workers = cfg.min_workers
         self._spawn_pool(workers, 0.0)
-        cursor = 0
         tuples_since = 0
         queries_since = 0
         rr_offset = 0
@@ -558,23 +572,18 @@ class JoinService:
                 if self._divergence:
                     self._maybe_poison(tick_end)
                 # 1. Ingest: this tick's arrivals, fanned out by key shard.
-                hi = int(np.searchsorted(arrival[cursor:], tick_end)) + cursor
-                if hi > cursor:
-                    sl = slice(cursor, hi)
-                    for shard_id in np.unique(shard_of[sl]):
-                        mask = shard_of[sl] == shard_id
-                        cols = (
-                            event[sl][mask],
-                            arrival[sl][mask],
-                            key[sl][mask],
-                            payload[sl][mask],
-                            is_r[sl][mask],
+                for shard_id in range(cfg.n_shards):
+                    lo = cursors[shard_id]
+                    hi = lo + int(
+                        arrival[lo : bounds[shard_id + 1]].searchsorted(tick_end)
+                    )
+                    if hi > lo:
+                        cols = tuple(col[lo:hi] for col in trace_cols)
+                        await self._queues[shard_id % len(self._queues)].put(
+                            ("ingest", shard_id, cols, tick_end)
                         )
-                        await self._queues[int(shard_id) % len(self._queues)].put(
-                            ("ingest", int(shard_id), cols, tick_end)
-                        )
-                        tuples_since += int(mask.sum())
-                    cursor = hi
+                        tuples_since += hi - lo
+                        cursors[shard_id] = hi
                 # 2. Queries: admission gate -> bounded tenant queue.
                 for query in self._due_queries(next_submit, rng_q, tick_end):
                     self.queries_submitted += 1

@@ -5,11 +5,14 @@ it in one storage path.  Every ingest chunk becomes an event-sorted
 :class:`~repro.serve.runs.SortedRun` (one O(chunk log chunk) sort at
 ingest) stacked in a size-tiered :class:`~repro.serve.runs.RunStack`
 with amortized two-pointer compaction, while a mergeable
-:class:`~repro.joins.aggregator.DeltaGrid` extends per-window prefix
-aggregates in O(new tuples + touched windows) per chunk.  A run stack
-and its grid form one :class:`_RunStore`.  A query is a binary search
-into the window's prefix state, or an exact rescan of the runs for
-off-grid windows and the one window straddling the retention horizon.
+:class:`~repro.joins.aggregator.DeltaGrid` buffers each chunk's window
+segments (validated, as views of the run) and folds a window's pending
+segments into its prefix aggregates on the first query that reads it:
+tenants read only closed windows, so a window absorbs many chunks per
+fold.  A run stack and its grid form one :class:`_RunStore`.  A query
+is a binary search into the window's prefix state, or an exact rescan
+of the runs for off-grid windows and the one window straddling the
+retention horizon.
 Retention eviction advances per-run frontiers and drops whole expired
 runs, so the shard never re-sorts or re-aggregates data it has already
 absorbed.  Eviction is memoized on the horizon: it only moves on
@@ -60,6 +63,7 @@ store's run count).  Histogram: ``serve.shard.ckpt_bytes``.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -68,7 +72,7 @@ from typing import Any
 import numpy as np
 
 from repro import obs
-from repro.core.compensation import compensate
+from repro.core.compensation import compensated_value
 from repro.core.delay_profile import DelayProfile
 from repro.core.persistence import profile_state, restore_profile
 from repro.joins.aggregator import DeltaAppendError, DeltaGrid
@@ -91,6 +95,14 @@ _COLUMN_DTYPES = {
 #: Sub-intervals a window is split into when averaging completeness —
 #: matches the bucket granularity PECJ's batch operator compensates at.
 _AGE_BUCKETS = 8
+
+
+@functools.lru_cache(maxsize=8)
+def _bucket_offsets(width: float) -> tuple[float, ...]:
+    """Midpoints of a ``width`` window's age buckets, as offsets from
+    its start (memoized: every tenant queries the same width)."""
+    return tuple(((i + 0.5) * width) / _AGE_BUCKETS for i in range(_AGE_BUCKETS))
+
 
 #: Floor on the mean completeness used to inflate observed counts; below
 #: this the profile is effectively saying "almost nothing has arrived"
@@ -173,26 +185,22 @@ def pecj_lite_answer(
     starved = n_r == 0 or n_s == 0
     if not compensate_output or not profile.is_warm or starved:
         return ShardAnswer(observed, observed, n_r, n_s, starved, 1.0)
-    width = end - start
     c_bar = profile.mean_completeness(
-        [
-            available_by - (start + ((i + 0.5) * width) / _AGE_BUCKETS)
-            for i in range(_AGE_BUCKETS)
-        ]
+        [available_by - (start + offset) for offset in _bucket_offsets(end - start)]
     )
     if not math.isfinite(c_bar):
         # A poisoned delay profile (forced estimator divergence)
         # propagates NaN through mean_completeness; max() below would
-        # pass it straight into compensate().  Surface a NaN answer
+        # pass it straight into the compensation.  Surface a NaN answer
         # instead so the DegradationController's non-finite check trips
         # its hard-fallback path.
         obs.counter("serve.shard.nonfinite_completeness").inc()
         return ShardAnswer(float("nan"), observed, n_r, n_s, starved, float("nan"))
     c_bar = max(c_bar, _MIN_COMPLETENESS)
-    estimate = compensate(
+    value = compensated_value(
         agg, n_r / c_bar, n_s / c_bar, observed_agg.selectivity, observed_agg.alpha_r
     )
-    return ShardAnswer(estimate.value, observed, n_r, n_s, starved, c_bar)
+    return ShardAnswer(value, observed, n_r, n_s, starved, c_bar)
 
 
 def snapshot_state(
@@ -278,7 +286,7 @@ class _RunStore:
         self.dirty = False
 
     def append(self, cols: tuple[np.ndarray, ...]) -> None:
-        """Stack one chunk as a run and extend the grid over it."""
+        """Stack one chunk as a run and buffer it in the grid."""
         run = SortedRun.from_chunk(*cols)
         merges = self.runs.append(run)
         if merges:

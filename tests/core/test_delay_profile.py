@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.delay_profile import DelayProfile
+from repro.core.persistence import profile_state, restore_profile
 
 
 def warm_profile(delays, **kwargs):
@@ -271,15 +272,49 @@ _age_fracs = st.one_of(
 )
 
 
+def poison(p):
+    """What ``JoinService._maybe_poison`` does to a shard's profile."""
+    p._counts = np.full_like(p._counts, np.nan)
+    p._cdf_cache = None
+
+
+#: Profile changes between two ``mean_completeness`` calls; each must
+#: invalidate the list copies the scalar path reads.
+_PROFILE_OPS = ("update", "grow", "decay", "restore", "poison")
+
+
+def apply_op(p, op, rng, snapshot):
+    if op == "update":
+        p.update(rng.exponential(3.0, 60))
+    elif op == "grow":
+        p._grow()
+    elif op == "decay":
+        p.decay_step()
+    elif op == "restore":
+        restore_profile(p, snapshot)
+    else:
+        poison(p)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     state=st.sampled_from(["cold", "warm", "grown", "decayed", "poisoned", "empty"]),
     seed=st.integers(0, 2**16),
-    fracs=st.lists(_age_fracs, min_size=1, max_size=40),
+    fracs=st.one_of(
+        # Eight ages, the serving shard's bucket count, and other lengths
+        # on both sides of numpy's eight-accumulator pairwise blocks.
+        st.lists(_age_fracs, min_size=8, max_size=8),
+        st.lists(_age_fracs, min_size=1, max_size=40),
+        st.lists(_age_fracs, min_size=120, max_size=300),
+    ),
+    ops=st.lists(st.sampled_from(_PROFILE_OPS), max_size=6),
 )
-def test_mean_completeness_equals_numpy_idiom(state, seed, fracs):
+def test_mean_completeness_equals_numpy_idiom(state, seed, fracs, ops):
     """Bit-identical for cold, warm and NaN-poisoned profiles, ages at
-    or below zero, at or past the span, on bin edges, and NaN."""
+    or below zero, at or past the span, on bin edges, and NaN — and
+    still after every update, grow, decay, restore or poisoning write
+    between two calls (the scalar path's list copies follow the CDF
+    cache)."""
     rng = np.random.default_rng(seed)
     p = DelayProfile(min_weight=50.0)
     if state == "cold":
@@ -292,13 +327,15 @@ def test_mean_completeness_equals_numpy_idiom(state, seed, fracs):
         for _ in range(3):
             p.decay_step()
     if state == "poisoned":
-        p._counts = np.full_like(p._counts, np.nan)
-        p._cdf_cache = None
-    ages = [f * p._span for f in fracs]
-    assert_same_float(p.mean_completeness(ages), numpy_mean_completeness(p, ages))
-    assert_same_float(
-        p.mean_completeness(np.asarray(ages)), numpy_mean_completeness(p, ages)
-    )
+        poison(p)
+    snapshot = profile_state(warm_profile(rng.exponential(5.0, 300)))
+    for op in (None, *ops):
+        if op is not None:
+            apply_op(p, op, rng, snapshot)
+        ages = [f * p._span for f in fracs]
+        want = numpy_mean_completeness(p, ages)
+        assert_same_float(p.mean_completeness(ages), want)
+        assert_same_float(p.mean_completeness(np.asarray(ages)), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,6 +355,5 @@ def test_mean_completeness_of_poisoned_profile_is_nan():
     """The scalar ``min(1.0, nan)`` would answer 1.0; the serve drill
     relies on NaN getting through."""
     p = warm_profile(np.random.default_rng(0).exponential(3.0, 200))
-    p._counts = np.full_like(p._counts, np.nan)
-    p._cdf_cache = None
+    poison(p)
     assert math.isnan(p.mean_completeness([1.0, 2.0, 3.0]))

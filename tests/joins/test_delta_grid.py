@@ -190,11 +190,14 @@ class TestAppendContract:
         )
 
         def state():
+            # Query first: reads fold pending segments, so the per-key
+            # state read after them covers everything appended so far,
+            # including anything a failed append might have buffered.
+            answers = [grid.query(i, by) for i in (0, 1) for by in (None, 1.5, 20.0)]
             windows = {
                 idx: (w.n, w.c_r.tolist(), w.c_s.tolist(), w.sum_rv.tolist())
                 for idx, w in grid._windows.items()
             }
-            answers = [grid.query(i, by) for i in (0, 1) for by in (None, 1.5, 20.0)]
             return windows, grid.appends, answers
 
         before = state()
@@ -229,3 +232,135 @@ class TestAppendContract:
         )
         assert grid.appends == 0
         assert len(grid) == 0
+
+
+def answers(grid, windows=range(-1, 3), cuts=(None, 1.5, 3.5, 12.5, 1e9)):
+    return [grid.query(w, by) for w in windows for by in cuts]
+
+
+def tiny_chunk(event, clock, key=None):
+    n = len(event)
+    return (
+        np.asarray(event, dtype=float),
+        np.asarray(clock, dtype=float),
+        np.asarray(key if key is not None else [1] * n, dtype=np.int64),
+        np.ones(n),
+        np.arange(n) % 2 == 0,
+    )
+
+
+class TestNonFiniteRejected:
+    # -inf events go first and NaN/+inf events last, so the event column
+    # stays sorted the way numpy sorts it.
+    @pytest.mark.parametrize(
+        "column, position, value",
+        [
+            ("clock", 1, np.nan),
+            ("clock", 1, np.inf),
+            ("clock", 0, -np.inf),
+            ("event", 1, np.nan),
+            ("event", 1, np.inf),
+            ("event", 0, -np.inf),
+        ],
+        ids=["nan-clock", "inf-clock", "neginf-clock", "nan-event", "inf-event", "neginf-event"],
+    )
+    def test_rejected_before_any_window_changes(self, column, position, value):
+        """A NaN clock used to be accepted and switch the window's
+        monotonicity guard off for good (``first < nan`` is false); an
+        infinite one made every later append to the window raise
+        ``DeltaAppendError``; a NaN or infinite event escaped as a raw
+        ``math.floor`` ``ValueError``/``OverflowError``."""
+        grid = DeltaGrid(4, 10.0)
+        twin = DeltaGrid(4, 10.0)
+        for g in (grid, twin):
+            g.delta_append(*tiny_chunk([1.0, 2.0], [1.0, 2.0]))
+        bad = tiny_chunk([3.0, 4.0], [3.0, 4.0])
+        bad[0 if column == "event" else 1][position] = value
+        with pytest.raises(ValueError, match="finite"):
+            grid.delta_append(*bad)
+        assert grid.appends == 1 and len(grid) == 1
+        # Well-formed appends after the refusal behave exactly as on a
+        # grid that never saw the bad chunk, regressions included.
+        for g in (grid, twin):
+            g.delta_append(*tiny_chunk([3.0, 5.0], [3.0, 5.0]))
+            with pytest.raises(DeltaAppendError):
+                g.delta_append(*tiny_chunk([6.0], [4.0]))
+        assert answers(grid) == answers(twin)
+
+
+class TestFoldOnRead:
+    """Appends only buffer; the first read of a window folds them."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_interleavings_match_batch_aggregate(self, seed):
+        """Appends, queries (cuts inside still-pending segments
+        included) and ``drop_below`` in random order, checked against
+        ``BatchArrays.aggregate`` over the tuples the grid still holds."""
+        rng = np.random.default_rng(seed)
+        grid = DeltaGrid(NUM_KEYS, LENGTH)
+        held: list[np.ndarray] = []  # reference rows, as (5, n) float blocks
+        for c, chunk in enumerate(random_chunks(rng, 30, tick=25.0, spread=120.0)):
+            append_chunk(grid, chunk)
+            # A later append to a window behind a drop recreates it,
+            # holding only what arrives from then on — as the reference
+            # rows do.
+            held.append(np.vstack([col.astype(float) for col in chunk]))
+            recent_clocks = chunk[1]
+            action = rng.random()
+            if action < 0.15:
+                cut = int(rng.integers(0, max(1, c // 4) + 1))
+                grid.drop_below(cut)
+                held = [b[:, np.floor(b[0] / LENGTH) >= cut] for b in held]
+            elif action < 0.65:
+                rows = np.hstack(held)
+                ref = BatchArrays(
+                    rows[0], rows[1], rows[2].astype(np.int64), rows[3], rows[4] > 0.5
+                )
+                cuts = [None, float(rng.uniform(0.0, 30.0 * 25.0))]
+                # Cuts at and between the clocks of the newest chunk,
+                # whose segments are still pending until this read.
+                picks = rng.choice(recent_clocks, size=min(3, len(recent_clocks)))
+                cuts += [float(t) for t in picks] + [float(picks[0]) - 1e-9]
+                for widx in rng.permutation(np.arange(-2, 12))[:5]:
+                    start = float(widx) * LENGTH
+                    for by in cuts:
+                        want = ref.aggregate(start, start + LENGTH, by, clock="arrival")
+                        got = grid.query(int(widx), by)
+                        assert (got.n_r, got.n_s, got.matches) == (
+                            want.n_r, want.n_s, want.matches,
+                        ), (seed, c, widx, by)
+                        assert got.sum_r == pytest.approx(want.sum_r, rel=1e-9, abs=1e-9)
+
+    def test_regression_against_pending_only_window_leaves_grid_unchanged(self):
+        """Monotonicity is checked against the last *appended* clock:
+        a window that holds only pending segments still refuses a chunk
+        that starts before them, and keeps nothing of it."""
+        grid = DeltaGrid(4, 10.0)
+        twin = DeltaGrid(4, 10.0)
+        for g in (grid, twin):
+            g.delta_append(*tiny_chunk([1.0, 2.0], [5.0, 6.0], key=[1, 1]))
+            g.delta_append(*tiny_chunk([3.0], [7.0], key=[1]))
+        assert grid._windows[0].n == 0  # nothing folded yet
+        with pytest.raises(DeltaAppendError):
+            # Window 0's segment starts at clock 6.5 < 7.0; window 1's
+            # segment alone would be fine, but neither may land.
+            grid.delta_append(*tiny_chunk([4.0, 11.0], [6.5, 8.0], key=[2, 3]))
+        assert grid.appends == twin.appends == 2
+        assert len(grid) == len(twin) == 1
+        assert len(grid._windows[0].pending) == 2
+        assert answers(grid, cuts=(None, 5.0, 6.0, 6.5, 7.0)) == answers(
+            twin, cuts=(None, 5.0, 6.0, 6.5, 7.0)
+        )
+
+    def test_fold_is_deferred_to_the_first_read(self):
+        grid = DeltaGrid(4, 10.0)
+        for t in (1.0, 2.0, 3.0):
+            grid.delta_append(*tiny_chunk([t], [t]))
+        win = grid._windows[0]
+        assert (win.n, len(win.pending)) == (0, 3)
+        assert grid.query(0, 2.0).n_r + grid.query(0, 2.0).n_s == 2
+        assert (win.n, len(win.pending)) == (3, 0)
+        grid.delta_append(*tiny_chunk([4.0], [4.0]))
+        assert grid.nbytes > 0 and (win.n, win.pending) == (4, [])
+        grid.delta_append(*tiny_chunk([5.0], [5.0]))
+        assert grid.drop_below(1) == 1 and len(grid) == 0
