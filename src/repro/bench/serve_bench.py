@@ -144,14 +144,13 @@ class FullRebuildShard:
         """Buffer a batch of arrived tuples (``ShardStore.ingest`` contract)."""
         if len(event) == 0:
             return
-        cols = check_chunk(self, event, arrival, key, payload, is_r)
+        cols, delays = check_chunk(self, event, arrival, key, payload, is_r)
         self._chunks.append(cols)
         self._dirty = True
-        event, arrival = cols[0], cols[1]
-        self.profile.update(np.maximum(arrival - event, 0.0))
-        self._max_arrival = max(self._max_arrival, float(arrival.max()))
-        self.ingested += len(event)
-        obs.counter("serve.shard.ingested").inc(len(event))
+        self.profile._absorb(delays, float(delays.max()))
+        self._max_arrival = max(self._max_arrival, float(cols[1].max()))
+        self.ingested += len(delays)
+        obs.counter("serve.shard.ingested").inc(len(delays))
 
     def _rebuild(self) -> BatchArrays:
         """Merge buffered chunks into the queryable arrays, evicting old state."""

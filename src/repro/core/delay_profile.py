@@ -154,6 +154,12 @@ class DelayProfile:
             raise ValueError("delays must be finite")
         if dmin < 0:
             raise ValueError("delays must be non-negative")
+        self._absorb(delays, dmax)
+
+    def _absorb(self, delays: np.ndarray, dmax: float) -> None:
+        """:meth:`update`'s body, for a non-empty float batch its caller has
+        already checked to be finite and non-negative (``dmax`` is its
+        maximum)."""
         self._max_seen = max(self._max_seen, dmax)
         while dmax >= self._span:
             self._grow()

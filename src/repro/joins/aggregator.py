@@ -511,8 +511,7 @@ class DeltaGrid:
         key outside ``[0, num_keys)``, the grid is unchanged.  Each
         touched window keeps its segment pending until its next read.
         """
-        n = len(event)
-        if n == 0:
+        if len(event) == 0:
             return 0
         if not (np.isfinite(event).all() and np.isfinite(clock).all()):
             raise ValueError("event and clock values must be finite")
@@ -522,6 +521,13 @@ class DeltaGrid:
             raise ValueError(
                 f"key {int(key.max())} outside dense key space [0, {self.num_keys})"
             )
+        return self._delta_append(event, clock, key, payload, is_r)
+
+    def _delta_append(self, event, clock, key, payload, is_r) -> int:
+        """:meth:`delta_append`'s body, for a non-empty chunk whose event and
+        clock values its caller has checked to be finite and whose keys lie
+        in ``[0, num_keys)``."""
+        n = len(event)
         w_lo = math.floor((float(event[0]) - self.origin) / self.length) - 1
         w_hi = math.floor((float(event[-1]) - self.origin) / self.length) + 1
         edges = self.origin + np.arange(w_lo, w_hi + 2, dtype=np.float64) * self.length

@@ -90,8 +90,8 @@ def aggregate_of(
     """Join aggregate of one set of tuples via per-key count tables.
 
     The shared fold kernel: :meth:`BatchArrays.aggregate` applies it to a
-    window slice, :class:`repro.streaming.state.WindowJoinState` to its
-    appended columns.  ``keys`` must be non-negative and below
+    window slice, :class:`repro.streaming.state.WindowJoinState` to one
+    window's columns of the push operators' log.  ``keys`` must be non-negative and below
     ``num_keys``; ``is_r`` is a boolean side mask.
     """
     n_r = int(is_r.sum())

@@ -142,11 +142,18 @@ EMPTY_ANSWER = ShardAnswer(0.0, 0.0, 0, 0, True, 1.0)
 # -- steps shared with the full-rebuild reference ----------------------------
 
 
-def check_chunk(shard, event, arrival, key, payload, is_r) -> tuple[np.ndarray, ...]:
+def check_chunk(
+    shard, event, arrival, key, payload, is_r
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Coerce one non-empty ingest chunk to typed columns, or refuse it.
 
-    Keys outside ``[0, shard.num_keys)`` and non-finite event or arrival
-    times raise ``ValueError``, before the caller touches any state.
+    Returns the columns and the delays ``max(arrival - event, 0)`` the
+    profile learns.  Keys outside ``[0, shard.num_keys)`` and non-finite
+    event or arrival times (or a gap between them that overflows) raise
+    ``ValueError``, before the caller touches any state.  This is the
+    chunk's only validation pass: the shard hands the columns to the
+    delta grid and the delays to the profile through their unchecked
+    bodies.
     """
     shard_id, num_keys = shard.shard_id, shard.num_keys
     event = np.asarray(event, dtype=float)
@@ -159,9 +166,15 @@ def check_chunk(shard, event, arrival, key, payload, is_r) -> tuple[np.ndarray, 
             f"shard {shard_id}: keys must lie in [0, {num_keys}), "
             f"got [{int(key.min())}, {int(key.max())}]"
         )
-    if not (np.isfinite(event).all() and np.isfinite(arrival).all()):
-        raise ValueError(f"shard {shard_id}: event and arrival times must be finite")
-    return event, arrival, key, payload, is_r
+    # A difference is finite only if both operands are, so one pass covers
+    # the times and the delays (numpy warns on the overflow or inf - inf of
+    # a chunk refused here; an errstate guard would tax every chunk).
+    delays = arrival - event
+    if not np.isfinite(delays).all():
+        raise ValueError(
+            f"shard {shard_id}: event and arrival times (and their gaps) must be finite"
+        )
+    return (event, arrival, key, payload, is_r), np.maximum(delays, 0.0, out=delays)
 
 
 def pecj_lite_answer(
@@ -293,7 +306,8 @@ class _RunStore:
             obs.counter("serve.shard.compactions").inc(merges)
         if not self.dirty:
             try:
-                self.grid.delta_append(
+                # Columns validated by check_chunk on the way in.
+                self.grid._delta_append(
                     run.event, run.arrival, run.key, run.payload, run.is_r
                 )
                 obs.counter("serve.shard.delta_appends").inc()
@@ -451,8 +465,8 @@ class ShardStore:
         """
         if len(event) == 0:
             return
-        cols = check_chunk(self, event, arrival, key, payload, is_r)
-        event, arrival, key = cols[0], cols[1], cols[2]
+        cols, delays = check_chunk(self, event, arrival, key, payload, is_r)
+        arrival, key = cols[1], cols[2]
         hot_mask = None
         if self._hot_lookup is not None:
             hot_mask = self._hot_lookup[key]
@@ -461,10 +475,10 @@ class ShardStore:
         self._distribute(cols, hot_mask)
         self._set_runs_gauge()
         self._advanced_to = None
-        self.profile.update(np.maximum(arrival - event, 0.0))
+        self.profile._absorb(delays, float(delays.max()))
         self._max_arrival = max(self._max_arrival, float(arrival.max()))
-        self.ingested += len(event)
-        obs.counter("serve.shard.ingested").inc(len(event))
+        self.ingested += len(delays)
+        obs.counter("serve.shard.ingested").inc(len(delays))
 
     def _distribute(
         self, cols: tuple[np.ndarray, ...], hot_mask: np.ndarray | None

@@ -8,10 +8,11 @@ from repro.streaming.operators import (
     StreamingWMJ,
     WindowEmission,
 )
-from repro.streaming.state import WindowJoinState
+from repro.streaming.state import ArrivalLog, WindowJoinState
 
 __all__ = [
     "KSlackBuffer",
+    "ArrivalLog",
     "WindowJoinState",
     "WindowEmission",
     "ScoredWindow",

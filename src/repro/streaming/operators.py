@@ -21,33 +21,48 @@ Three operators share the machinery:
   reproducing KSJ's completeness/latency tradeoff);
 * :class:`StreamingPECJ` — proactive compensation: the estimation core
   :class:`~repro.core.pecj.PECJCore` shared with the batch operator,
-  fed from columnar window state and a pushed-delay log.
+  fed from window views and the delays of the same log.
+
+All three share one ingest path: ``push`` guards the tuple (finite
+timestamps, no backwards clock, a key in ``[0, 2**63)``, a side code, a
+real payload) before touching any state, runs ``advance`` only when it has
+work and appends the tuple to a pending block, folded into the columnar
+log every :data:`BLOCK` tuples and before any read.  A tuple whose window
+is not live takes a slow path that may open, rewind or miss a window;
+k-slack sends every pushed tuple through its reorder buffer first.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from math import isfinite  # bound once: push checks every tuple
+from math import floor, inf, isfinite  # bound once: push uses them per tuple
 
 import numpy as np
 
 from repro.obs import trace
 from repro.core.pecj import PECJCore, make_estimator
-from repro.joins.arrays import AggKind
+from repro.joins.arrays import AggKind, negative_key_error
 from repro.metrics.error import bounded_window_error
 from repro.streaming.kslack import KSlackBuffer
-from repro.streaming.state import WindowJoinState
-from repro.streams.tuples import StreamTuple
+from repro.streaming.state import ArrivalLog, WindowJoinState
+from repro.streams.tuples import Side, StreamTuple
 
 __all__ = [
+    "BLOCK",
     "WindowEmission",
     "ScoredWindow",
     "StreamingWMJ",
     "StreamingKSJ",
     "StreamingPECJ",
 ]
+
+#: Pushed tuples buffered before they are folded into the log in one go.
+BLOCK = 256
+
+# What the log's columns can hold: side codes and the int64 key range.
+_SIDES = (Side.R, Side.S)
+_KEY_END = 1 << 63
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +89,7 @@ class ScoredWindow:
 
 
 class _StreamingBase:
-    """Shared clockwork: window states, emission, finalization, eviction.
+    """Shared clockwork: the tuple log, emission, finalization, eviction.
 
     Args:
         window_length: ``|W|`` in ms.
@@ -103,7 +118,13 @@ class _StreamingBase:
         self.fixed_horizon = horizon_ms
         self.num_buckets = num_buckets
         self.clock = -math.inf
-        self._states: dict[int, WindowJoinState] = {}
+        # Accepted tuples in ingest order: the log, then the pending block.
+        self._log = ArrivalLog()
+        self._pending: list[StreamTuple] = []
+        # Live windows -> absolute log index of their first tuple.
+        self._first: dict[int, int] = {}
+        # Windows a push appends to without the slow path: every live one.
+        self._direct = self._first
         self._emitted: dict[int, WindowEmission] = {}
         self._next_emit: int | None = None
         self._next_final: int | None = None
@@ -126,66 +147,62 @@ class _StreamingBase:
         """Return (value, credible interval, extra emission delay)."""
         return state.value(self.agg), None, 0.0
 
-    def _on_ingest(self, t: StreamTuple) -> None:
-        """Called for every tuple accepted into a window."""
-
     def _on_finalize(self, widx: int, state: WindowJoinState) -> None:
         """Called when a window is complete, before eviction."""
 
     def _horizon(self) -> float:
         return self.fixed_horizon if self.fixed_horizon is not None else 0.0
 
+    def _log_keep(self) -> int:
+        """Absolute index of the oldest log row that must survive a trim."""
+        return min(self._first.values(), default=self._log.end)
+
     # -- ingestion -----------------------------------------------------------
 
-    def _widx(self, event_time: float) -> int:
-        return int(math.floor(event_time / self.window_length))
-
-    def _state_for(self, w: int) -> WindowJoinState | None:
-        if self._next_final is not None and w < self._next_final:
-            # Before anything has been emitted the cursors may still move
-            # back (stream start under disorder: an older window's tuple
-            # can show up after a newer window opened).  After the first
-            # emission the grid is locked and older tuples are late.
-            untouched = (
-                self._next_final == self._next_emit
-                and not self._emitted
-                and w * self.window_length + self.omega > self.clock
-            )
-            if untouched:
+    def _admit(self, t: StreamTuple) -> None:
+        """Append a tuple to its window, first opening the window, rewinding
+        the cursors to it or dropping the tuple as late if it is not live
+        (push's slow path; KSJ's releases all come here)."""
+        w = floor(t.event_time / self.window_length)
+        if w not in self._first:
+            if self._next_final is not None and w < self._next_final:
+                # Before anything has been emitted the cursors may still move
+                # back (stream start under disorder: an older window's tuple
+                # can show up after a newer window opened).  After the first
+                # emission the grid is locked and older tuples are late.
+                if (
+                    self._next_final == self._next_emit
+                    and not self._emitted
+                    and w * self.window_length + self.omega > self.clock
+                ):
+                    self._next_emit = self._next_final = w
+                else:
+                    self.dropped_late += 1
+                    return
+            elif self._next_emit is None:
                 self._next_emit = self._next_final = w
-                self._rewake()
-            else:
-                self.dropped_late += 1
-                return None
-        state = self._states.get(w)
-        if state is None:
-            start = w * self.window_length
-            state = self._states[w] = WindowJoinState(
-                start, start + self.window_length, self.num_buckets
-            )
-            if self._next_emit is None:
-                self._next_emit = w
-                self._next_final = w
-                self._rewake()
-        return state
-
-    def _ingest(self, t: StreamTuple) -> None:
-        w = math.floor(t.event_time / self.window_length)
-        # A live state is never behind the finalization cursor, so
-        # _state_for would return it unchanged: look it up directly.
-        state = self._states.get(w)
-        if state is None:
-            state = self._state_for(w)
-            if state is None:
-                return
-        state.add(t)
-        self._on_ingest(t)
-        if self._max_widx is None or w > self._max_widx:
-            self._max_widx = w
+            self._first[w] = self._log.end + len(self._pending)
+            if self._max_widx is None or w > self._max_widx:
+                self._max_widx = w
             self._rewake()
+        self._pending.append(t)
+        if len(self._pending) >= BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Fold the pending block into the log, then trim the log.
+
+        Windows are finalized inside ``advance``, so the trim they allow
+        falls to a later, full-block flush rather than the emitting push.
+        """
+        if self._pending:
+            self._log.extend(self._pending)
+            self._pending = []
+            self._log.trim(self._log_keep())
 
     def _reject(self, t: StreamTuple) -> None:
-        """Raise for a tuple that would corrupt the clock or the delay log.
+        """Raise for a tuple that would corrupt the clock, the log or a
+        count table.
 
         Pushes call this before touching any state, so a rejected tuple
         leaves the operator exactly as it was.
@@ -195,22 +212,36 @@ class _StreamingBase:
                 f"timestamps must be finite: event_time={t.event_time}, "
                 f"arrival_time={t.arrival_time}"
             )
-        raise ValueError(f"arrival clock went backwards: {t.arrival_time} < {self.clock}")
+        if t.arrival_time < self.clock - 1e-9:
+            raise ValueError(f"arrival clock went backwards: {t.arrival_time} < {self.clock}")
+        if t.key < 0:
+            raise negative_key_error(t.key)
+        if t.side not in _SIDES:
+            raise ValueError(f"side must be Side.R or Side.S, got {t.side!r}")
+        raise ValueError(f"join key {t.key} does not fit in a signed 64-bit integer")
 
     def push(self, t: StreamTuple) -> list[WindowEmission]:
         """Ingest one tuple (arrival order) and return due emissions."""
         arrival = t.arrival_time
-        if not (arrival >= self.clock - 1e-9 and isfinite(arrival) and isfinite(t.event_time)):
+        # The guard covers every field the block's later flush converts.
+        # ``key | 0`` raises TypeError for a non-integer key and ``>`` for a
+        # payload that is not a real number (None, str, complex); no real
+        # payload, NaN included, exceeds inf.
+        if not (arrival >= self.clock - 1e-9 and isfinite(arrival) and isfinite(t.event_time)
+                and 0 <= (t.key | 0) < _KEY_END and t.side in _SIDES
+                and not t.payload > inf):
             self._reject(t)
-        emissions = self._tick(arrival)
-        self._ingest(t)
+        if arrival > self.clock:
+            self.clock = arrival
+        emissions = self.advance(arrival) if self.clock >= self._wake else []
+        if floor(t.event_time / self.window_length) in self._direct:
+            pending = self._pending
+            pending.append(t)
+            if len(pending) >= BLOCK:
+                self._flush()
+        else:
+            self._admit(t)
         return emissions
-
-    def _tick(self, now: float) -> list[WindowEmission]:
-        """Move the clock to ``now``, calling :meth:`advance` only if due."""
-        if now > self.clock:
-            self.clock = now
-        return self.advance(now) if self.clock >= self._wake else []
 
     # -- clockwork -------------------------------------------------------------
 
@@ -235,9 +266,17 @@ class _StreamingBase:
 
     def advance(self, now: float) -> list[WindowEmission]:
         """Advance the virtual clock, emitting and finalizing due windows."""
+        self._flush()
         emissions = self._advance(now)
         self._rewake()
         return emissions
+
+    def _window(self, w: int) -> WindowJoinState:
+        """Window ``w``'s view: its rows of the log, masked from its first."""
+        start = w * self.window_length
+        first = self._first.get(w)
+        columns = () if first is None else self._log.select(first, w, self.window_length)
+        return WindowJoinState(start, start + self.window_length, self.num_buckets, *columns)
 
     def _advance(self, now: float) -> list[WindowEmission]:
         self.clock = max(self.clock, now)
@@ -253,15 +292,13 @@ class _StreamingBase:
             and self._next_emit <= self._max_widx
         ):
             w = self._next_emit
-            start = w * self.window_length
-            state = self._states.get(w) or WindowJoinState(
-                start, start + self.window_length, self.num_buckets
-            )
+            state = self._window(w)
+            start = state.start
             cutoff = start + self.omega
             value, interval, extra = self._emit_value(state, cutoff)
             emission = WindowEmission(
                 window_start=start,
-                window_end=start + self.window_length,
+                window_end=state.end,
                 value=value,
                 emit_time=cutoff + extra,
                 observed=state.n_r + state.n_s,
@@ -293,17 +330,11 @@ class _StreamingBase:
             and (self._next_final + 1) * self.window_length + horizon <= self.clock
         ):
             w = self._next_final
-            state = self._states.pop(w, None)
+            state = self._window(w)
             emission = self._emitted.pop(w, None)
-            if state is not None:
+            if self._first.pop(w, None) is not None:
                 self._on_finalize(w, state)
             if emission is not None:
-                if state is None:
-                    # The window never received a tuple: truth is empty.
-                    start = w * self.window_length
-                    state = WindowJoinState(
-                        start, start + self.window_length, self.num_buckets
-                    )
                 truth = state.value(self.agg)
                 # Shared degenerate-window semantics: a zero-truth window
                 # with a nonzero (compensated) answer scores at most 1.
@@ -320,8 +351,11 @@ class _StreamingBase:
 
     @property
     def live_windows(self) -> int:
-        """Number of window states currently held (memory bound)."""
-        return len(self._states)
+        """Number of windows currently held (memory bound).
+
+        Exact without a flush: a pending tuple never opens a window.
+        """
+        return len(self._first)
 
     @property
     def mean_error(self) -> float:
@@ -340,8 +374,13 @@ class StreamingWMJ(_StreamingBase):
         super().__init__(window_length, omega, agg, horizon_ms)
         self._max_delay = 0.0
 
-    def _on_ingest(self, t: StreamTuple) -> None:
-        self._max_delay = max(self._max_delay, t.delay)
+    def _flush(self) -> None:
+        lo = self._log.end
+        super()._flush()
+        if self._log.end > lo:
+            # The trim kept the new rows (their windows are live), and
+            # clamping at 0 cannot change a maximum that starts at 0.
+            self._max_delay = max(self._max_delay, float(self._log.delays(lo)[1].max()))
 
     def _horizon(self) -> float:
         if self.fixed_horizon is not None:
@@ -350,7 +389,7 @@ class StreamingWMJ(_StreamingBase):
 
 
 class StreamingKSJ(StreamingWMJ):
-    """K-slack join: a reorder buffer precedes the window states.
+    """K-slack join: a reorder buffer precedes the tuple log.
 
     Tuples still held by the buffer at a window's cutoff are missed —
     exactly the k-slack accuracy/latency tradeoff.  ``slack`` defaults to
@@ -370,20 +409,18 @@ class StreamingKSJ(StreamingWMJ):
         super().__init__(window_length, omega, agg, horizon_ms)
         self._adaptive_slack = slack is None
         self.buffer = KSlackBuffer(0.0 if slack is None else slack)
+        # No window takes a pushed tuple directly: push hands each one to
+        # _admit below, which buffers it.
+        self._direct = {}
 
-    def push(self, t: StreamTuple) -> list[WindowEmission]:
-        """Feed one arriving tuple; join and emit whatever it releases."""
-        arrival = t.arrival_time
-        if not (arrival >= self.clock - 1e-9 and isfinite(arrival) and isfinite(t.event_time)):
-            self._reject(t)
+    def _admit(self, t: StreamTuple) -> None:
+        """Feed one pushed tuple to the reorder buffer; join what it releases."""
         if self._adaptive_slack:
             # Adaptive k-slack (Ji et al.): K tracks the largest disorder
             # seen so far.
             self.buffer.slack = max(self.buffer.slack, t.delay)
-        emissions = self._tick(arrival)
         for released in self.buffer.push(t):
-            self._ingest(released)
-        return emissions
+            super()._admit(released)
 
     def _emit_value(self, state: WindowJoinState, cutoff: float):
         # The join consults the reorder buffer at emission: tuples that
@@ -392,15 +429,13 @@ class StreamingKSJ(StreamingWMJ):
         # omega, per the paper's Section 6.3 observation).
         pending = self.buffer.peek_range(state.start, state.end)
         if pending:
-            state = state.clone()
-            for t in pending:
-                state.add(t)
+            state = state.extended(pending)
         return state.value(self.agg), None, 0.0
 
     def finish(self) -> list[WindowEmission]:
         """Flush the reorder buffer and join the stragglers (end of stream)."""
         for released in self.buffer.flush():
-            self._ingest(released)
+            super()._admit(released)
         return super().finish()
 
 
@@ -412,8 +447,8 @@ class StreamingPECJ(_StreamingBase, PECJCore):
     and delayed ground-truth feedback — are
     :class:`~repro.core.pecj.PECJCore`'s, the same as
     :class:`~repro.core.pecj.PECJoin`'s.  This class decides only what a
-    window has seen and when it is final: pushed tuples land in window
-    states and a delay log that feeds the online profile; bucket
+    window has seen and when it is final: pushed tuples land in the log,
+    whose delays also feed the online profile; bucket
     completeness is read at each bucket's age at the cutoff; a window is
     final once ``horizon + |W|`` has passed, and only then are its bucket
     rates observed (with ``z = 1``).  Warm emissions carry the 95%
@@ -441,12 +476,10 @@ class StreamingPECJ(_StreamingBase, PECJCore):
             learning_inference_ms = 90.0 if backend == "mlp" else 0.0
         self.learning_inference_ms = learning_inference_ms
         self._reset_core(omega, lambda: make_estimator(backend, seed))
-        # Event and arrival times of ingested tuples, in ingest order.  The
-        # profile absorbs the entries from _flushed on in one batch before
-        # it is queried (per-push updates would allocate an array per
-        # tuple); the delay-shape context reads the newest CONTEXT_TUPLES.
-        self._log_event = array("d")
-        self._log_arrival = array("d")
+        # The profile absorbs the delays of the log rows from absolute index
+        # _flushed on in one batch before it is queried (per-push updates
+        # would allocate an array per tuple); the delay-shape context reads
+        # the newest CONTEXT_TUPLES rows.
         self._flushed = 0
 
     #: Newest ingested tuples whose delays form the delay-shape context.
@@ -454,28 +487,15 @@ class StreamingPECJ(_StreamingBase, PECJCore):
 
     # -- observation machinery ----------------------------------------------
 
-    def _on_ingest(self, t: StreamTuple) -> None:
-        self._log_event.append(t.event_time)
-        self._log_arrival.append(t.arrival_time)
-
-    def _log_delays(self, lo: int) -> tuple[np.ndarray, np.ndarray]:
-        """Event times and clamped delays of the log entries from ``lo``."""
-        event = np.array(self._log_event[lo:])
-        return event, np.maximum(np.array(self._log_arrival[lo:]) - event, 0.0)
-
     def _flush_delays(self) -> None:
-        n = len(self._log_event)
-        if n == self._flushed:
-            return
-        self.profile.update(self._log_delays(self._flushed)[1])
-        self._flushed = n
-        # Everything is absorbed; only the context's tail must survive.
-        # Trimming in large steps keeps the memmove amortised.
-        if n > 8 * self.CONTEXT_TUPLES:
-            drop = n - self.CONTEXT_TUPLES
-            del self._log_event[:drop]
-            del self._log_arrival[:drop]
-            self._flushed -= drop
+        end = self._log.end
+        if end != self._flushed:
+            self.profile.update(self._log.delays(self._flushed)[1])
+            self._flushed = end
+
+    def _log_keep(self) -> int:
+        # Unabsorbed delays and the context's tail must survive a trim too.
+        return min(super()._log_keep(), self._flushed, self._log.end - self.CONTEXT_TUPLES)
 
     def _horizon(self) -> float:
         self._flush_delays()
@@ -483,8 +503,8 @@ class StreamingPECJ(_StreamingBase, PECJCore):
 
     def _delay_context(self, start: float, end: float, now: float):
         def sample() -> np.ndarray:
-            lo = max(len(self._log_event) - self.CONTEXT_TUPLES, 0)
-            event, delays = self._log_delays(lo)
+            log = self._log
+            event, delays = log.delays(max(log.end - self.CONTEXT_TUPLES, log.base))
             return delays[(start - 4.0 * self.window_length <= event) & (event < end)]
 
         return self._delay_context_at(now - 0.5 * (start + end), sample)
@@ -494,7 +514,7 @@ class StreamingPECJ(_StreamingBase, PECJCore):
         extra = self.learning_inference_ms
         if not self._warm():
             return state.value(self.agg), None, extra
-        widx = self._widx(state.start)
+        widx = math.floor(state.start / self.window_length)
         self._set_context(self._delay_context(state.start, state.end, cutoff))
         bucket_len = state.length / state.num_buckets
         cs = [

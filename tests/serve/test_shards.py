@@ -280,3 +280,29 @@ class TestIngestContract:
             )
         assert (len(shard), shard.ingested, shard.horizon, shard.profile.weight) == before
         assert shard.query(0.0, 50.0, 100.0) == twin.query(0.0, 50.0, 100.0)
+
+    @pytest.mark.parametrize(
+        "shard_cls", [ShardStore, FullRebuildShard], ids=["runs", "full"]
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_delay_rejected_before_mutation(self, shard_cls):
+        """Finite times whose gap overflows used to pass the chunk check and
+        reach the runs and the grid before the profile refused the infinite
+        delay; the chunk check now covers the delays too."""
+        rng = np.random.default_rng(4)
+        shard = make_shard(shard_cls)
+        twin = make_shard(shard_cls)
+        cols = uniform_batch(rng, 200, 0.0, 50.0)
+        shard.ingest(*cols)
+        twin.ingest(*cols)
+        before = (len(shard), shard.ingested, shard.horizon, shard.profile.weight)
+        with pytest.raises(ValueError, match="finite"):
+            shard.ingest(
+                np.array([10.0, -1e308]), np.array([12.0, 1e308]), np.array([1, 2]),
+                np.array([1.0, 1.0]), np.array([True, False]),
+            )
+        assert (len(shard), shard.ingested, shard.horizon, shard.profile.weight) == before
+        assert shard.query(0.0, 50.0, 100.0) == twin.query(0.0, 50.0, 100.0)
+        shard.ingest(*cols)
+        twin.ingest(*cols)
+        assert shard.query(0.0, 50.0, 100.0) == twin.query(0.0, 50.0, 100.0)

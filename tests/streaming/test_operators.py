@@ -187,11 +187,20 @@ def grid_stream(seed=9, duration=800.0, rate=40.0):
 
 
 def always_advancing(cls):
-    """``cls`` with the old push clockwork: ``advance`` on every push."""
+    """``cls`` with the old push clockwork: ``advance`` on every push.
+
+    ``push`` calls ``advance`` once ``clock >= _wake``; pinning ``_wake``
+    at ``-inf`` makes that every push.
+    """
 
     class AlwaysAdvance(cls):
-        def _tick(self, now):
-            return self.advance(now)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._wake = -math.inf
+
+        def _rewake(self):
+            super()._rewake()
+            self._wake = -math.inf
 
     return AlwaysAdvance
 
@@ -256,9 +265,14 @@ class TestDelayLog:
             self.recent = collections.deque(maxlen=4096)
             self.checked = 0
 
-        def _on_ingest(self, t):
-            super()._on_ingest(t)
-            self.recent.append((t.event_time, max(t.delay, 0.0)))
+        def push(self, t):
+            # The contexts a push reads cover the tuples before it; the
+            # pushed tuple joins the deque unless it was dropped as late.
+            late = self.dropped_late
+            out = super().push(t)
+            if self.dropped_late == late:
+                self.recent.append((t.event_time, max(t.delay, 0.0)))
+            return out
 
         def _delay_context(self, start, end, now):
             got = super()._delay_context(start, end, now)
@@ -281,8 +295,9 @@ class TestDelayLog:
         op = self.DequeContext(10.0, 10.0)
         drive(op, tuples)
         assert op.checked > 50
-        # The log was trimmed (it holds far fewer entries than were pushed).
-        assert len(op._log_event) < len(tuples) / 2
+        # The log was trimmed (it holds far fewer rows than were pushed).
+        assert op._log.base > 0
+        assert op._log.size < len(tuples) / 2
 
 
 def test_negative_key_fails_loudly():
@@ -294,13 +309,14 @@ def test_negative_key_fails_loudly():
 
 def push_state(op):
     """Everything a rejected push must leave untouched."""
-    state = [op.clock, op.live_windows, list(op.scored), op.dropped_late,
-             op._next_emit, op._next_final, op._max_widx]
+    log = op._log
+    state = [op.clock, op.live_windows, dict(op._first), list(op.scored), op.dropped_late,
+             op._next_emit, op._next_final, op._max_widx, op._wake, list(op._pending),
+             log.base, log.size, log.event[:log.size].tolist(), log.arrival[:log.size].tolist()]
     if isinstance(op, StreamingKSJ):
         state += [op.buffer.slack, len(op.buffer), op.buffer.watermark]
     if isinstance(op, StreamingPECJ):
-        state += [list(op._log_event), list(op._log_arrival), op._flushed,
-                  op.profile.weight]
+        state += [op._flushed, op.profile.weight]
     return state
 
 
@@ -324,28 +340,114 @@ class TestNonFiniteTimestamps:
     @pytest.mark.parametrize("bad", sorted(BAD))
     @pytest.mark.parametrize("at", [0, 4000])
     def test_rejected_without_touching_state(self, cls, bad, at):
-        tuples = arrival_stream(duration=300.0)
-        clean, probed = cls(10.0, 10.0), cls(10.0, 10.0)
-        want, got = [], []
-        for i, t in enumerate(tuples):
-            if i == at:
-                event, arrival = self.BAD[bad]
-                poison = StreamTuple(
-                    t.key, t.payload,
-                    t.event_time if event is None else event,
-                    t.arrival_time if arrival is None else arrival,
-                    t.side,
-                )
-                before = push_state(probed)
-                with pytest.raises(ValueError, match="finite"):
-                    probed.push(poison)
-                assert push_state(probed) == before
-            want.extend(clean.push(t))
-            got.extend(probed.push(t))
-        want.extend(clean.finish())
-        got.extend(probed.finish())
-        assert got == want
-        assert probed.scored == clean.scored
+        event, arrival = self.BAD[bad]
+
+        def poison(t):
+            return StreamTuple(
+                t.key, t.payload,
+                t.event_time if event is None else event,
+                t.arrival_time if arrival is None else arrival,
+                t.side,
+            )
+
+        assert_rejected_cleanly(cls, at, poison, "finite")
+
+
+def assert_rejected_cleanly(cls, at, poison, match, error=ValueError):
+    """Push ``poison(t)`` before the ``at``-th tuple ``t``: it must raise
+    ``error`` matching ``match`` and leave :func:`push_state` as it was, and
+    the rest of the stream must match a run that never saw it."""
+    tuples = arrival_stream(duration=300.0)
+    clean, probed = cls(10.0, 10.0), cls(10.0, 10.0)
+    want, got = [], []
+    for i, t in enumerate(tuples):
+        if i == at:
+            before = push_state(probed)
+            with pytest.raises(error, match=match):
+                probed.push(poison(t))
+            assert push_state(probed) == before
+        want.extend(clean.push(t))
+        got.extend(probed.push(t))
+    want.extend(clean.finish())
+    got.extend(probed.finish())
+    assert got == want
+    assert probed.scored == clean.scored
+    assert probed.dropped_late == clean.dropped_late
+
+
+class TestNegativeKeys:
+    """Regression: WMJ and PECJ checked the key only when the tuple reached
+    its window, after the push had moved the clock, so a rejected tuple had
+    already emitted and finalized windows whose emissions were never
+    delivered; KSJ buffered the bad tuple and raised on a later, valid push,
+    losing that push's tuple.  The push guard now refuses a negative key
+    before any state changes (KSJ's before its reorder buffer)."""
+
+    @pytest.mark.parametrize("cls", [StreamingWMJ, StreamingKSJ, StreamingPECJ])
+    @pytest.mark.parametrize("at", [0, "emitting", 4000])
+    def test_rejected_without_touching_state(self, cls, at):
+        if at == "emitting":
+            # The bad tuple carries the first emitting push's timestamps.
+            op = cls(10.0, 10.0)
+            at = next(i for i, t in enumerate(arrival_stream(duration=300.0)) if op.push(t))
+        assert_rejected_cleanly(
+            cls, at, lambda t: StreamTuple(-1, t.payload, t.event_time, t.arrival_time, t.side),
+            "non-negative",
+        )
+
+    @pytest.mark.parametrize("cls", [StreamingWMJ, StreamingKSJ, StreamingPECJ])
+    @pytest.mark.parametrize("at", [0, 4000])
+    def test_non_integer_key_refused_without_touching_state(self, cls, at):
+        """A float key cannot index a count table either: the push guard
+        refuses it, rather than the later flush of its block."""
+        assert_rejected_cleanly(
+            cls, at, lambda t: StreamTuple(1.5, t.payload, t.event_time, t.arrival_time, t.side),
+            "unsupported operand", TypeError,
+        )
+
+
+class TestUnstorableFields:
+    """A pushed tuple waits in the pending block until its flush converts
+    every field to a column, so a field the columns cannot hold would make
+    every later flush (each advance and finish) raise.  The push guard
+    refuses such a tuple before any state changes."""
+
+    BAD = {
+        "key-2**63": ({"key": 2**63}, ValueError, "64-bit"),
+        "uint64-key-2**63": ({"key": np.uint64(2**63)}, ValueError, "64-bit"),
+        "none-payload": ({"payload": None}, TypeError, "NoneType"),
+        "str-payload": ({"payload": "1.5"}, TypeError, "str"),
+        "complex-payload": ({"payload": 1j}, TypeError, "complex"),
+        "str-side": ({"side": "R"}, ValueError, "side"),
+        "side-2": ({"side": 2}, ValueError, "side"),
+    }
+
+    @pytest.mark.parametrize("cls", [StreamingWMJ, StreamingKSJ, StreamingPECJ])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("at", [0, 4000])
+    def test_rejected_without_touching_state(self, cls, bad, at):
+        fields, error, match = self.BAD[bad]
+
+        def poison(t):
+            return StreamTuple(
+                fields.get("key", t.key), fields.get("payload", t.payload),
+                t.event_time, t.arrival_time, fields.get("side", t.side),
+            )
+
+        assert_rejected_cleanly(cls, at, poison, match, error)
+
+    @pytest.mark.parametrize("cls", [StreamingWMJ, StreamingKSJ, StreamingPECJ])
+    def test_edge_values_still_accepted(self, cls):
+        """Numpy scalars, integer side codes and a NaN payload fit the
+        columns and pass the guard."""
+        op = cls(10.0, 10.0, AggKind.SUM)
+        op.push(StreamTuple(2, math.nan, 1.0, 1.0, Side.R))
+        op.push(StreamTuple(np.int64(2), np.float32(2.0), 2.0, 2.0, 1))
+        op.push(StreamTuple(np.uint64(2), 3, 3.0, 3.0, 0))
+        op.finish()
+        # Two R payloads join the one S tuple: NaN + 3.
+        assert math.isnan(op.scored[0].truth)
+        assert op.scored[0].window_start == 0.0
 
 
 class TestStreamingInterval:

@@ -11,7 +11,13 @@ can state its counted effect next to the timed one::
     python tools/callcount.py --workload serve_mixed --seed 1
 
 The benchmark's own probes (answer recording, ground-truth tallies) are not
-installed, so the count is the program's work alone.  The workload is reached
+installed, so the count is the program's work alone.  When
+``callcount_ceilings.json`` (next to this script) holds a ceiling for the
+workload and seed, the script exits 1 if calls per tuple exceed it: a
+deterministic work gate that host noise cannot trip.  numpy's Python-level
+wrappers count as calls too, so the file records the numpy version its
+ceilings were measured with; under another version an exceeded ceiling is
+reported as a warning and the script exits 0.  The workload is reached
 through ``perfbench/workloads.py``'s ``FACTORIES``, imported from its
 directory the way ``perfbench/run.py`` imports it.  Run from anywhere; the
 script locates ``src/`` and ``perfbench/`` next to itself.
@@ -26,7 +32,10 @@ import pstats
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+CEILINGS = Path(__file__).resolve().with_name("callcount_ceilings.json")
 
 
 def count_calls(workload_name: str, seed: int) -> tuple[int, int]:
@@ -56,6 +65,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     calls, tuples = count_calls(args.workload, args.seed)
+    per_tuple = round(calls / tuples, 2) if tuples else None
+    recorded = json.loads(CEILINGS.read_text())
+    ceiling = recorded["ceilings"].get(f"{args.workload}/seed={args.seed}")
     print(
         json.dumps(
             {
@@ -63,10 +75,20 @@ def main(argv=None) -> int:
                 "seed": args.seed,
                 "calls": calls,
                 "tuples": tuples,
-                "calls_per_tuple": round(calls / tuples, 2) if tuples else None,
+                "calls_per_tuple": per_tuple,
+                "ceiling": ceiling,
             }
         )
     )
+    if ceiling is not None and (per_tuple is None or per_tuple > ceiling):
+        verdict = f"{per_tuple} calls per tuple > ceiling {ceiling} ({CEILINGS.name})"
+        if np.__version__ != recorded["numpy"]:
+            print(f"WARNING: {verdict}, measured with numpy {recorded['numpy']}; "
+                  f"this is numpy {np.__version__}, so the gate does not apply",
+                  file=sys.stderr)
+            return 0
+        print(f"FAIL: {verdict}", file=sys.stderr)
+        return 1
     return 0
 
 
