@@ -36,9 +36,9 @@ replacement and asserting equivalence before timing:
   must not perturb behaviour).  The overhead ratio is gated <= 1.03 in
   full mode.
 
-Timing is best-of-N, except in the executor and serve_telemetry sections,
-which take the median ratio of interleaved pairs; a JSON artifact is
-written for tracking (see DESIGN.md for how to read it).
+Timing is best-of-N, except in the skew, executor and serve_telemetry
+sections, which take the median ratio of interleaved pairs; a JSON
+artifact is written for tracking (see DESIGN.md for how to read it).
 
 Usage::
 
@@ -271,7 +271,7 @@ def estimator_workload(duration_ms, num_keys, repeats):
     return row
 
 
-def skew_workload(num_keys, repeats, smoke):
+def skew_workload(num_keys, pairs, smoke):
     """Hot-key partitioned operator vs full per-key grouping at scale.
 
     Over a Zipf-1.4 stream on a wide key domain, ``GroupedPECJoin``
@@ -281,7 +281,9 @@ def skew_workload(num_keys, repeats, smoke):
     timing, two correctness asserts: at skew 0 the partitioned operator
     must emit the plain PECJ values bit-for-bit, and at skew 1.4 the hot
     accounting identity (hot + cold == total, per side) must hold on
-    every hot window.
+    every hot window.  The speedup is the median, over ``pairs``
+    interleaved grouped/partitioned runs (alternating which goes first),
+    of each pair's time ratio, with the ratios' interquartile range.
     """
     from repro.core.grouped import GroupedPECJoin, run_grouped
     from repro.joins.partitioned import PartitionedPECJoin
@@ -332,8 +334,15 @@ def skew_workload(num_keys, repeats, smoke):
             "skew: hot/cold accounting identity violated"
         )
 
-    t_part = best_of(lambda: partitioned_pass() and None, repeats)
-    t_grouped = best_of(lambda: grouped_pass() and None, repeats)
+    grouped_s, part_s = [], []
+    for i in range(pairs):
+        for grouped in (i % 2 == 1, i % 2 == 0):
+            t0 = time.perf_counter()
+            grouped_pass() if grouped else partitioned_pass()
+            (grouped_s if grouped else part_s).append(time.perf_counter() - t0)
+    ratios = [g / p for g, p in zip(grouped_s, part_s)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    t_grouped, t_part = statistics.median(grouped_s), statistics.median(part_s)
     n = len(skewed.event)
     row = {
         "workload": f"skew1.4_{num_keys}keys_{int(duration)}ms",
@@ -341,14 +350,16 @@ def skew_workload(num_keys, repeats, smoke):
         "num_keys": num_keys,
         "hot_keys": float(len(op.hot_state)),
         "records_identical": True,
+        "pairs": pairs,
         "grouped": {"seconds": t_grouped, "tuples_per_s": n / t_grouped},
         "partitioned": {"seconds": t_part, "tuples_per_s": n / t_part},
-        "speedup": t_grouped / t_part,
+        "speedup": statistics.median(ratios),
+        "speedup_iqr": q3 - q1,
     }
     print(
         f"skew/partitioned: n={n} keys={num_keys} hot={len(op.hot_state)} | "
         f"grouped {t_grouped * 1e3:.2f} ms | partitioned {t_part * 1e3:.2f} ms | "
-        f"speedup {row['speedup']:.2f}x"
+        f"speedup {row['speedup']:.2f}x (median of {pairs} pairs, IQR {q3 - q1:.2f})"
     )
     return row
 
@@ -613,7 +624,7 @@ def main(argv=None) -> int:
 
     skew_row = skew_workload(
         num_keys=5_000 if args.smoke else 50_000,
-        repeats=1 if args.smoke else min(args.repeats, 3),
+        pairs=3 if args.smoke else max(args.repeats, 5),
         smoke=args.smoke,
     )
 

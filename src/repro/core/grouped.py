@@ -61,10 +61,16 @@ class _SideRatePrior:
     def update(self, per_key_counts: np.ndarray, window_len: float) -> None:
         """Absorb one finalized window's per-key counts."""
         rates = per_key_counts / window_len
-        self._mean = self.decay * self._mean + (1 - self.decay) * float(rates.mean())
-        self._second = self.decay * self._second + (1 - self.decay) * float(
-            (rates**2).mean()
-        )
+        self._absorb(float(rates.mean()), float((rates**2).mean()))
+
+    def update_one(self, count: float, window_len: float) -> None:
+        """:meth:`update` for a single key's count, without the array."""
+        rate = count / window_len
+        self._absorb(rate, rate * rate)
+
+    def _absorb(self, mean: float, second: float) -> None:
+        self._mean = self.decay * self._mean + (1 - self.decay) * mean
+        self._second = self.decay * self._second + (1 - self.decay) * second
         self._weight = self.decay * self._weight + (1 - self.decay)
 
     @property

@@ -84,6 +84,12 @@ def negative_key_error(key: int) -> ValueError:
     )
 
 
+#: Widest key domain :func:`aggregate_of` folds into dense per-key tables;
+#: above it the tables cover only the keys present.  Every key domain the
+#: datasets, benchmarks and baselines use is far below it.
+_DENSE_KEY_LIMIT = 1 << 20
+
+
 def aggregate_of(
     keys: np.ndarray, is_r: np.ndarray, payload: np.ndarray, num_keys: int
 ) -> WindowAggregate:
@@ -92,12 +98,18 @@ def aggregate_of(
     The shared fold kernel: :meth:`BatchArrays.aggregate` applies it to a
     window slice, :class:`repro.streaming.state.WindowJoinState` to one
     window's columns of the push operators' log.  ``keys`` must be non-negative and below
-    ``num_keys``; ``is_r`` is a boolean side mask.
+    ``num_keys``; ``is_r`` is a boolean side mask.  Past
+    :data:`_DENSE_KEY_LIMIT` keys (a pushed key may be as large as
+    ``2**63 - 1``) the tables are indexed by rank among the keys present,
+    through one ``np.unique``.
     """
     n_r = int(is_r.sum())
     n_s = int(len(keys) - n_r)
     if n_r == 0 or n_s == 0:
         return WindowAggregate(n_r, n_s, 0.0, 0.0)
+    if num_keys > _DENSE_KEY_LIMIT:
+        present, keys = np.unique(keys, return_inverse=True)
+        num_keys = len(present)
     r_keys = keys[is_r]
     s_keys = keys[~is_r]
     c_r = np.bincount(r_keys, minlength=num_keys)

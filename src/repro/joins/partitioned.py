@@ -45,6 +45,7 @@ gauge, and ``partition.repartition`` trace instants.
 from __future__ import annotations
 
 import collections
+import heapq
 
 import numpy as np
 
@@ -71,7 +72,19 @@ class SpaceSavingSketch:
     :meth:`decay` scales all counters (and the total) so the sketch
     follows the *recent* key distribution instead of the lifetime one —
     the property the drift detector needs.
+
+    The victim is the minimum count, and among equal counts the counter
+    inserted earliest (an increment keeps a key's insertion sequence
+    number; an eviction gives the new key a fresh one).  It is found in
+    ``O(log capacity)`` through a heap of ``(count, seq, key)`` entries:
+    every change pushes one entry, and an entry is live only while its
+    ``(seq, count)`` still match the key's state — stale ones are
+    discarded when they surface, and the heap is rebuilt from the
+    counters once it holds :attr:`HEAP_SLACK` entries per counter.
     """
+
+    #: Heap entries per counter before the heap is rebuilt.
+    HEAP_SLACK = 4
 
     def __init__(self, capacity: int = 64):
         if capacity < 1:
@@ -79,36 +92,72 @@ class SpaceSavingSketch:
         self.capacity = capacity
         self._counts: dict[int, float] = {}
         self._errors: dict[int, float] = {}
+        self._seqs: dict[int, int] = {}
+        self._heap: list[tuple[float, int, int]] = []
+        self._next_seq = 0
         #: Total weight offered (decays with the counters).
         self.total = 0.0
 
     def offer(self, key: int, weight: float = 1.0) -> None:
         """Account ``weight`` occurrences of ``key``."""
-        self.total += weight
-        counts = self._counts
-        if key in counts:
-            counts[key] += weight
-            return
-        if len(counts) < self.capacity:
-            counts[key] = weight
-            self._errors[key] = 0.0
-            return
-        victim = min(counts, key=counts.__getitem__)
-        floor = counts.pop(victim)
-        self._errors.pop(victim)
-        counts[key] = floor + weight
-        self._errors[key] = floor
+        self._offer_all(((key, weight),))
 
     def offer_batch(self, keys: np.ndarray) -> None:
-        """Account a batch of keys (grouped through one ``unique`` pass)."""
+        """Account a batch of keys (grouped through one ``unique`` pass,
+        offered in ascending key order)."""
         if len(keys) == 0:
             return
         uniq, cnt = np.unique(keys, return_counts=True)
-        for k, c in zip(uniq.tolist(), cnt.tolist()):
-            self.offer(int(k), float(c))
+        self._offer_all(
+            zip(uniq.astype(np.int64, copy=False).tolist(), cnt.astype(float).tolist())
+        )
+
+    def _offer_all(self, pairs) -> None:
+        """:meth:`offer` for each ``(key, weight)`` pair, in order."""
+        counts, errors, seqs, heap = self._counts, self._errors, self._seqs, self._heap
+        capacity = self.capacity
+        limit = self.HEAP_SLACK * capacity
+        total, next_seq, size = self.total, self._next_seq, len(counts)
+        for key, weight in pairs:
+            total += weight
+            if key in counts:
+                count = counts[key] = counts[key] + weight
+                heapq.heappush(heap, (count, seqs[key], key))
+            elif size < capacity:
+                size += 1
+                counts[key], errors[key], seqs[key] = weight, 0.0, next_seq
+                heapq.heappush(heap, (weight, next_seq, key))
+                next_seq += 1
+            else:
+                # Stale entries surface first; the first live one is the
+                # victim, and the new key's entry replaces it in place.
+                floor, seq, victim = heap[0]
+                while seqs.get(victim) != seq or counts[victim] != floor:
+                    heapq.heappop(heap)
+                    floor, seq, victim = heap[0]
+                del counts[victim], errors[victim], seqs[victim]
+                count = counts[key] = floor + weight
+                errors[key], seqs[key] = floor, next_seq
+                heapq.heapreplace(heap, (count, next_seq, key))
+                next_seq += 1
+                continue
+            if len(heap) > limit:
+                self._rebuild_heap()
+        self.total, self._next_seq = total, next_seq
+
+    def _rebuild_heap(self) -> None:
+        """One live entry per counter (drops every stale entry); in place,
+        because :meth:`_offer_all` holds the list while it runs."""
+        seqs = self._seqs
+        self._heap[:] = [(c, seqs[k], k) for k, c in self._counts.items()]
+        heapq.heapify(self._heap)
 
     def decay(self, factor: float) -> None:
-        """Scale every counter (exponential forgetting of old regimes)."""
+        """Scale every counter (exponential forgetting of old regimes).
+
+        Scaling can round distinct counts to equal ones, so the heap is
+        rebuilt from the scaled counters.
+        """
         if not 0.0 < factor <= 1.0:
             raise ValueError("decay factor must be in (0, 1]")
         if factor == 1.0:
@@ -117,6 +166,7 @@ class SpaceSavingSketch:
             self._counts[k] *= factor
             self._errors[k] *= factor
         self.total *= factor
+        self._rebuild_heap()
 
     def estimate(self, key: int) -> tuple[float, float]:
         """``(count, error)`` for ``key`` (``(0, 0)`` when untracked)."""
@@ -147,7 +197,8 @@ class HotKeyState:
     own posterior), and the key keeps its own
     :class:`~repro.core.delay_profile.DelayProfile` — per-key delay
     dynamics (one slow producer) stop polluting the shared completeness
-    curve.  The payload EMA mirrors the grouped operator's SUM machinery.
+    curve.  The payload EMA (updated under SUM only) mirrors the grouped
+    operator's SUM machinery.
     """
 
     #: Approximate serialized size of the seeded scalar state, used for
@@ -175,8 +226,10 @@ class HotKeyState:
     #: regimes where completeness drives the whole compensation.
     PROFILE_SHRINK = 256.0
 
-    def completeness(self, shared: DelayProfile, ages: list[float]) -> float:
+    def completeness(self, c_shared: float, ages: list[float]) -> float:
         """Mean completeness over bucket ages, blending key and shared.
+
+        ``c_shared`` is the shared profile's ``mean_completeness(ages)``.
 
         Falls back to the shared profile entirely until the per-key
         profile is warm, so a freshly promoted key compensates exactly
@@ -186,7 +239,6 @@ class HotKeyState:
         per-key profile weighted by its effective sample count against
         :data:`PROFILE_SHRINK` virtual shared samples.
         """
-        c_shared = shared.mean_completeness(ages)
         if not self.profile.is_warm:
             return c_shared
         c_own = self.profile.mean_completeness(ages)
@@ -509,7 +561,8 @@ class PartitionedPECJoin(PECJoin):
         #: ``(window_start, {key: value}, cold_value)`` per hot emission —
         #: the PanJoin-style per-key answer for the promoted keys.
         self.hot_series: list[tuple[float, dict[int, float], float]] = []
-        self._hot_lookup = np.zeros(0, dtype=bool)
+        #: Per key, its position in ``hot_state`` (``-1``: cold).
+        self._hot_slot = np.full(0, -1, dtype=np.int8)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -532,7 +585,9 @@ class PartitionedPECJoin(PECJoin):
         self.migration_bytes = 0
         self.accounting = []
         self.hot_series = []
-        self._hot_lookup = np.zeros(num_keys, dtype=bool)
+        # 8-bit slots at the usual caps: a stable sort of them is a radix sort.
+        slot_dtype = np.int8 if self.max_hot <= 128 else np.int32
+        self._hot_slot = np.full(num_keys, -1, dtype=slot_dtype)
         # Cold-tail shared posteriors: aggregate rate/selectivity/payload
         # EMAs over the cold remainder, refreshed at finalization.
         self._cold_rate_r = _DecayedMean()
@@ -553,51 +608,69 @@ class PartitionedPECJoin(PECJoin):
             return
         idx = self._comp_order[lo:hi]
         keys = arrays.key[idx]
-        hot_mask = self._hot_lookup[keys] if self.hot_state else None
-        hits = int(hot_mask.sum()) if hot_mask is not None else 0
-        self.partitions.observe(keys, hits)
-        if hits:
+        if not self.hot_state:
+            self.partitions.observe(keys, 0)
+            return
+        slots = self._hot_slot[keys]
+        hot = slots >= 0
+        idx = idx[hot]
+        self.partitions.observe(keys, len(idx))
+        if len(idx):
             delays = np.maximum(arrays.arrival[idx] - arrays.event[idx], 0.0)
-            for key, state in self.hot_state.items():
-                mine = keys == key
-                if mine.any():
-                    state.profile.update(delays[mine])
-                    state.observed += int(mine.sum())
+            counts, delays = _group_by_slot(slots[hot], len(self.hot_state), delays)
+            at = 0
+            for state, n in zip(self.hot_state.values(), counts):
+                if n:
+                    state.profile.update(delays[at : at + n])
+                    state.observed += n
+                    at += n
 
     def _hot_window_counts(
         self, arrays: BatchArrays, start: float, end: float, now: float | None
     ) -> tuple[dict[int, tuple[int, int, float]], int, int]:
-        """Per-hot-key ``(n_r, n_s, sum_rv)`` plus window totals.
+        """Per-hot-key ``(n_r, n_s, sum_rv)`` (in ``hot_state`` order) plus
+        window totals.
 
-        One slice + availability mask, then ``O(K)`` per-key reductions —
-        never an ``O(num_keys)`` bincount, which is the whole throughput
-        point of partitioning at large key domains.
+        One slice + availability mask, then ``O(K)`` bincounts over the
+        hot tuples' slots — never an ``O(num_keys)`` one, which is the
+        whole throughput point of partitioning at large key domains.
+        ``sum_rv`` is read only under SUM and stays ``0.0`` under COUNT;
+        under SUM it is each key's R payloads summed by ``ndarray.sum`` in
+        window order (numpy's pairwise sum, which a weighted bincount's
+        sequential one would not match bit for bit).
         """
         sl = arrays.window_slice(start, end)
         keys = arrays.key[sl]
         is_r = arrays.is_r[sl]
-        payload = arrays.payload[sl]
         if now is not None:
             avail = arrays.completion[sl] <= now
-            keys, is_r, payload = keys[avail], is_r[avail], payload[avail]
-        total_r = int(is_r.sum())
-        total_s = int(len(keys) - total_r)
-        per_key: dict[int, tuple[int, int, float]] = {}
-        if self.hot_state and len(keys):
-            hot_mask = self._hot_lookup[keys]
-            h_keys = keys[hot_mask]
-            h_is_r = is_r[hot_mask]
-            h_payload = payload[hot_mask]
-            for key in self.hot_state:
-                mine = h_keys == key
-                r_mask = mine & h_is_r
-                n_r = int(r_mask.sum())
-                n_s = int(mine.sum()) - n_r
-                sum_rv = float(h_payload[r_mask].sum()) if n_r else 0.0
-                per_key[key] = (n_r, n_s, sum_rv)
-        elif self.hot_state:
-            for key in self.hot_state:
-                per_key[key] = (0, 0, 0.0)
+            keys, is_r = keys[avail], is_r[avail]
+        total_r = int(np.count_nonzero(is_r))
+        total_s = len(keys) - total_r
+        k = len(self.hot_state)
+        if not k:
+            return {}, total_r, total_s
+        slots = self._hot_slot[keys]
+        hot = slots >= 0
+        slots, is_r = slots[hot], is_r[hot]
+        n_all = np.bincount(slots, minlength=k).tolist()
+        sums = [0.0] * k
+        if self.agg is AggKind.SUM:
+            payload = arrays.payload[sl]
+            if now is not None:
+                payload = payload[avail]
+            n_rs, r_payload = _group_by_slot(slots[is_r], k, payload[hot][is_r])
+            at = 0
+            for slot, n_r in enumerate(n_rs):
+                if n_r:
+                    sums[slot] = float(r_payload[at : at + n_r].sum())
+                    at += n_r
+        else:
+            n_rs = np.bincount(slots[is_r], minlength=k).tolist()
+        per_key = {
+            key: (n_r, n - n_r, sum_rv)
+            for key, n, n_r, sum_rv in zip(self.hot_state, n_all, n_rs, sums)
+        }
         return per_key, total_r, total_s
 
     def _partition_finalize(self, arrays: BatchArrays, now: float) -> None:
@@ -618,9 +691,9 @@ class PartitionedPECJoin(PECJoin):
             hot_matches = 0.0
             for key, (n_r, n_s, sum_rv) in per_key.items():
                 state = self.hot_state[key]
-                state.prior_r.update(np.array([float(n_r)]), wlen)
-                state.prior_s.update(np.array([float(n_s)]), wlen)
-                if n_r:
+                state.prior_r.update_one(n_r, wlen)
+                state.prior_s.update_one(n_s, wlen)
+                if n_r and self.agg is AggKind.SUM:
                     state.update_payload(sum_rv / n_r)
                 hot_r += n_r
                 hot_s += n_s
@@ -656,7 +729,7 @@ class PartitionedPECJoin(PECJoin):
         """
         for key in sorted(demoted):
             state = self.hot_state.pop(key)
-            self._hot_lookup[key] = False
+            self._hot_slot[key] = -1
             # Fold the key's learned rate back into the cold aggregate so
             # the cold prior doesn't under-shoot the tuples it just
             # re-absorbed (the no-lost-accounting half of the protocol).
@@ -671,9 +744,10 @@ class PartitionedPECJoin(PECJoin):
             obs.counter("partition.migration_bytes").inc(moved)
         for key in sorted(promoted):
             self.hot_state[key] = HotKeyState(key, widx)
-            self._hot_lookup[key] = True
             self.migration_bytes += HotKeyState.STATE_BYTES
             obs.counter("partition.migration_bytes").inc(HotKeyState.STATE_BYTES)
+        for slot, key in enumerate(self.hot_state):
+            self._hot_slot[key] = slot
         if (promoted or demoted) and trace.is_tracing():
             trace.instant(
                 "partition.repartition", now, cat="partition",
@@ -699,14 +773,15 @@ class PartitionedPECJoin(PECJoin):
             wlen / self.buckets_per_window
         )
         ages = (now - mids).tolist()
-        c_shared = max(self.profile.mean_completeness(ages), 1e-3)
+        c_mean = self.profile.mean_completeness(ages)
+        c_shared = max(c_mean, 1e-3)
 
         hot_values: dict[int, float] = {}
         hot_r = hot_s = 0
         hot_value = 0.0
         for key, (n_r, n_s, sum_rv) in sorted(per_key.items()):
             state = self.hot_state[key]
-            c_k = max(state.completeness(self.profile, ages), 1e-3)
+            c_k = max(state.completeness(c_mean, ages), 1e-3)
             n_hat_r = state.prior_r.filled_count(n_r, c_k, wlen)
             n_hat_s = state.prior_s.filled_count(n_s, c_k, wlen)
             value_k = n_hat_r * n_hat_s
@@ -802,6 +877,15 @@ class PartitionedPECJoin(PECJoin):
         summary["partition_migration_bytes"] = float(self.migration_bytes)
         summary["partition_hot_windows"] = float(len(self.accounting))
         return summary
+
+
+def _group_by_slot(
+    slots: np.ndarray, k: int, values: np.ndarray
+) -> tuple[list[int], np.ndarray]:
+    """Per-slot counts (a list of ``k`` ints) and ``values`` reordered
+    slot by slot, each slot's rows keeping their order (stable sort)."""
+    counts = np.bincount(slots, minlength=k).tolist()
+    return counts, values[np.argsort(slots, kind="stable")]
 
 
 class _DecayedMean:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.joins.arrays import AggKind, BatchArrays, WindowAggregate
+from repro.joins.arrays import _DENSE_KEY_LIMIT, AggKind, BatchArrays, WindowAggregate, aggregate_of
 from repro.streams.tuples import Side, StreamBatch, StreamTuple
 
 
@@ -117,6 +117,32 @@ class TestWindowAggregate:
         assert agg.value(AggKind.COUNT) == 3.0
         assert agg.value(AggKind.SUM) == 12.0
         assert agg.value(AggKind.AVG) == 4.0
+
+
+class TestSparseFold:
+    """Past the dense limit, ``aggregate_of`` indexes its tables by rank
+    among the keys present instead of allocating one slot per key."""
+
+    @pytest.mark.parametrize("offset", [_DENSE_KEY_LIMIT, 10**9, 2**63 - 64])
+    def test_shifted_keys_fold_like_small_ones(self, offset):
+        rng = np.random.default_rng(2)
+        keys = rng.integers(0, 40, size=500)
+        is_r = rng.random(500) < 0.5
+        payload = rng.integers(0, 100, size=500).astype(float)
+        dense = aggregate_of(keys, is_r, payload, 40)
+        sparse = aggregate_of(keys + offset, is_r, payload, int(keys.max()) + offset + 1)
+        # Integer payloads: the sums are exact in either table order.
+        assert sparse == dense
+        assert brute_force(keys[is_r], payload[is_r], keys[~is_r]) == (
+            dense.matches, dense.sum_r,
+        )
+
+    def test_largest_key(self):
+        top = 2**63 - 1
+        keys = np.array([top, top, 5, top])
+        is_r = np.array([True, False, True, False])
+        agg = aggregate_of(keys, is_r, np.array([2.0, 0.0, 7.0, 0.0]), 2**63)
+        assert agg == WindowAggregate(2, 2, 2.0, 4.0)
 
 
 class TestBatchArrays:

@@ -450,6 +450,42 @@ class TestUnstorableFields:
         assert op.scored[0].window_start == 0.0
 
 
+class TestHugeKeys:
+    """Regression: a window fold sized its per-key tables by the largest
+    key, so a pushed key of ``2**63 - 1`` made ``finish`` raise
+    ``OverflowError`` (and every later ``advance`` again, since the failing
+    window was never passed), and a key of ``10**9`` asked for a
+    ``10**9``-slot table per window read.  Wide keys now fold over the keys
+    present."""
+
+    @pytest.mark.parametrize("cls", [StreamingWMJ, StreamingKSJ, StreamingPECJ])
+    @pytest.mark.parametrize("base", [10**9, 2**63 - 10])
+    def test_relabelled_keys_answer_like_small_ones(self, cls, base):
+        """Moving every key up by ``base`` changes no COUNT answer (at
+        ``base = 2**63 - 10`` the largest shifted key is ``2**63 - 1``)."""
+        tuples = arrival_stream(duration=300.0)
+        shifted = [
+            StreamTuple(base + t.key, t.payload, t.event_time, t.arrival_time, t.side)
+            for t in tuples
+        ]
+        assert max(t.key for t in shifted) == base + 9
+        small, huge = cls(10.0, 10.0), cls(10.0, 10.0)
+        assert drive(huge, shifted) == drive(small, tuples)
+        assert huge.scored == small.scored
+        assert huge.live_windows == 0
+
+    @pytest.mark.parametrize("key", [10**9, 2**63 - 1])
+    def test_finish_then_advance_with_one_huge_key(self, key):
+        op = StreamingPECJ(10.0, 10.0)
+        op.push(StreamTuple(key, 1.0, 1.0, 1.0, Side.R))
+        op.push(StreamTuple(key, 1.0, 2.0, 2.0, Side.S))
+        op.push(StreamTuple(3, 1.0, 3.0, 3.0, Side.S))
+        emissions = op.finish()
+        assert [e.window_start for e in emissions] == [0.0]
+        assert op.scored[0].truth == 1.0
+        assert op.advance(100.0) == []
+
+
 class TestStreamingInterval:
     @pytest.mark.parametrize("agg", [AggKind.COUNT, AggKind.SUM, AggKind.AVG])
     def test_warm_emissions_carry_a_covering_interval(self, agg):
