@@ -36,9 +36,10 @@ replacement and asserting equivalence before timing:
   must not perturb behaviour).  The overhead ratio is gated <= 1.03 in
   full mode.
 
-Timing is best-of-N, except in the skew, executor and serve_telemetry
-sections, which take the median ratio of interleaved pairs; a JSON
-artifact is written for tracking (see DESIGN.md for how to read it).
+Timing is best-of-N, except in the skew, executor, serve_hotpath and
+serve_telemetry sections, which take the median ratio of interleaved
+pairs; a JSON artifact is written for tracking (see DESIGN.md for how to
+read it).
 
 Usage::
 
@@ -415,13 +416,16 @@ SERVE_FULL_RETENTIONS = (800.0, 3200.0, 12800.0)
 SERVE_SMOKE_RETENTIONS = (400.0, 1600.0)
 
 
-def serve_hotpath_workload(retention_ms, repeats):
+def serve_hotpath_workload(retention_ms, pairs):
     """Ingest-to-answer loop, full-rebuild vs incremental shard state.
 
     The stream spans 1.5x the retention so the largest points reach
     eviction steady state.  COUNT answers are all-integer, so the
     equivalence assert is bit-for-bit; the timed passes then run each
-    mode over the identical pre-generated chunks.
+    mode over the identical pre-generated chunks.  The speedup is the
+    median, over ``pairs`` interleaved full/incremental runs
+    (alternating which goes first), of each pair's time ratio, with the
+    ratios' interquartile range.
     """
     ticks = int(1.5 * retention_ms / _HOTPATH_TICK_MS)
     chunks = hotpath_tick_stream(ticks)
@@ -435,10 +439,15 @@ def serve_hotpath_workload(retention_ms, repeats):
     )
     assert inc_shard.evicted == ref_shard.evicted
 
-    t_full = best_of(
-        lambda: hotpath_drive(FullRebuildShard, retention_ms, chunks), repeats
-    )
-    t_runs = best_of(lambda: hotpath_drive(ShardStore, retention_ms, chunks), repeats)
+    full_s, runs_s = [], []
+    for i in range(pairs):
+        for full in (i % 2 == 1, i % 2 == 0):
+            t0 = time.perf_counter()
+            hotpath_drive(FullRebuildShard if full else ShardStore, retention_ms, chunks)
+            (full_s if full else runs_s).append(time.perf_counter() - t0)
+    ratios = [f / r for f, r in zip(full_s, runs_s)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    t_full, t_runs = statistics.median(full_s), statistics.median(runs_s)
     row = {
         "retention_ms": retention_ms,
         "ticks": ticks,
@@ -446,16 +455,18 @@ def serve_hotpath_workload(retention_ms, repeats):
         "queries": len(inc_answers),
         "live_at_end": len(inc_shard),
         "answers_identical": True,
-        "runs": len(inc_shard._stores[0].runs),
-        "compactions": inc_shard._stores[0].runs.compactions,
+        "runs": len(inc_shard.runs),
+        "compactions": inc_shard.runs.compactions,
+        "pairs": pairs,
         "full": {"seconds": t_full, "tuples_per_s": n / t_full},
         "incremental": {"seconds": t_runs, "tuples_per_s": n / t_runs},
-        "speedup": t_full / t_runs,
+        "speedup": statistics.median(ratios),
+        "speedup_iqr": q3 - q1,
     }
     print(
         f"serve_hotpath/retention={retention_ms:g}ms: n={n} ticks={ticks} | "
         f"full {t_full * 1e3:.1f} ms | incremental {t_runs * 1e3:.1f} ms | "
-        f"speedup {row['speedup']:.2f}x"
+        f"speedup {row['speedup']:.2f}x (median of {pairs} pairs, IQR {q3 - q1:.2f})"
     )
     return row
 
@@ -640,7 +651,9 @@ def main(argv=None) -> int:
 
     serve_retentions = SERVE_SMOKE_RETENTIONS if args.smoke else SERVE_FULL_RETENTIONS
     serve_rows = [
-        serve_hotpath_workload(retention_ms, repeats=min(args.repeats, 2))
+        serve_hotpath_workload(
+            retention_ms, pairs=3 if args.smoke else max(args.repeats, 5)
+        )
         for retention_ms in serve_retentions
     ]
 

@@ -28,7 +28,7 @@ import numpy as np
 from repro import obs
 from repro.core.delay_profile import DelayProfile
 from repro.faults.plan import serve_load_plan
-from repro.joins.arrays import AggKind, BatchArrays
+from repro.joins.arrays import AggKind, BatchArrays, check_aligned
 from repro.serve.admission import TenantQuota
 from repro.serve.runs import merge_runs
 from repro.serve.service import ServeConfig, run_service
@@ -110,7 +110,6 @@ class FullRebuildShard:
         agg: AggKind,
         window_ms: float,
         retention_ms: float,
-        profile: DelayProfile | None = None,
     ):
         if retention_ms < 2.0 * window_ms:
             raise ValueError("retention_ms must cover at least two windows")
@@ -119,7 +118,7 @@ class FullRebuildShard:
         self.agg = agg
         self.window_ms = window_ms
         self.retention_ms = retention_ms
-        self.profile = profile or DelayProfile()
+        self.profile = DelayProfile()
         # Columns not yet folded into _arrays, oldest first, starting
         # from typed empty ones (merge_runs of no runs); a rebuild
         # leaves only its surviving columns here.
@@ -143,6 +142,7 @@ class FullRebuildShard:
     def ingest(self, event, arrival, key, payload, is_r) -> None:
         """Buffer a batch of arrived tuples (``ShardStore.ingest`` contract)."""
         if len(event) == 0:
+            check_aligned(event, arrival, key, payload, is_r)
             return
         cols, delays = check_chunk(self, event, arrival, key, payload, is_r)
         self._chunks.append(cols)
@@ -291,7 +291,6 @@ def serve_hotpath(scale: float = 1.0, workers: int | None = None) -> list[dict]:
         chunks = hotpath_tick_stream(ticks)
         inc, inc_answers = hotpath_drive(ShardStore, retention_ms, chunks)
         ref, ref_answers = hotpath_drive(FullRebuildShard, retention_ms, chunks)
-        cold = inc._stores[0]
         rows.append(
             {
                 "retention_ms": retention_ms,
@@ -303,10 +302,10 @@ def serve_hotpath(scale: float = 1.0, workers: int | None = None) -> list[dict]:
                 "answers_equal": inc_answers == ref_answers,
                 "evictions_equal": inc.evicted == ref.evicted,
                 "count_checksum": float(sum(a[2] for a in inc_answers)),
-                "runs": len(cold.runs),
-                "compactions": cold.runs.compactions,
-                "delta_appends": cold.grid.appends,
-                "grid_windows": len(cold.grid),
+                "runs": len(inc.runs),
+                "compactions": inc.runs.compactions,
+                "delta_appends": inc.grid.appends,
+                "grid_windows": len(inc.grid),
                 "full_rebuilds": ref.queries,  # one rebuild per dirty query
             }
         )

@@ -42,7 +42,12 @@ import math
 import numpy as np
 
 from repro import obs
-from repro.joins.arrays import BatchArrays, WindowAggregate, negative_key_error
+from repro.joins.arrays import (
+    BatchArrays,
+    WindowAggregate,
+    check_aligned,
+    negative_key_error,
+)
 
 __all__ = ["DeltaAppendError", "DeltaGrid", "WindowAggregator"]
 
@@ -507,10 +512,12 @@ class DeltaGrid:
         semantics of :class:`_GridIndex`, so boundary tuples land in the
         same window as the reference.  The whole validation pass runs
         before any state is touched: on :class:`DeltaAppendError`, or
-        the ``ValueError`` of a non-finite event or clock value or of a
-        key outside ``[0, num_keys)``, the grid is unchanged.  Each
-        touched window keeps its segment pending until its next read.
+        the ``ValueError`` of columns of unequal length, a non-finite
+        event or clock value or a key outside ``[0, num_keys)``, the
+        grid is unchanged.  Each touched window keeps its segment
+        pending until its next read.
         """
+        check_aligned(event, clock, key, payload, is_r)
         if len(event) == 0:
             return 0
         if not (np.isfinite(event).all() and np.isfinite(clock).all()):

@@ -84,6 +84,21 @@ def negative_key_error(key: int) -> ValueError:
     )
 
 
+def check_aligned(event, arrival, key, payload, is_r) -> None:
+    """Refuse five tuple columns of unequal length with ``ValueError``.
+
+    Every columnar ingest path calls this before it touches state:
+    indexing one column by another's sort order or bounds would silently
+    drop the surplus rows, or fail only on a later read.
+    """
+    n = len(event)
+    if not len(arrival) == len(key) == len(payload) == len(is_r) == n:
+        raise ValueError(
+            "event, arrival, key, payload and is_r must be equally long, got "
+            f"lengths {[n, len(arrival), len(key), len(payload), len(is_r)]}"
+        )
+
+
 #: Widest key domain :func:`aggregate_of` folds into dense per-key tables;
 #: above it the tables cover only the keys present.  Every key domain the
 #: datasets, benchmarks and baselines use is far below it.
@@ -135,6 +150,8 @@ class BatchArrays:
             owns this column; code that writes it directly must call
             :meth:`mark_completion_dirty` so completion-derived caches
             (drain functions, incremental aggregators) are invalidated.
+
+    Columns of unequal length or with a negative key raise ``ValueError``.
     """
 
     def __init__(
@@ -145,6 +162,7 @@ class BatchArrays:
         payload: np.ndarray,
         is_r: np.ndarray,
     ):
+        check_aligned(event, arrival, key, payload, is_r)
         order = np.argsort(event, kind="stable")
         self.event = event[order]
         self.arrival = arrival[order]

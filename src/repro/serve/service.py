@@ -124,8 +124,6 @@ class ServeConfig:
             restored — the migration drill.
         degrade: Degradation tunables applied per shard (``None``
             widening tunables are resolved against ``omega_ms``).
-        compensate_output: Answer queries with PECJ-lite completeness
-            compensation (False serves observed-only answers).
         telemetry: Live-telemetry tunables (sampling cadence, SLO
             policy, audit switch); ``TelemetryConfig(enabled=False)``
             pins the pre-telemetry no-op path.
@@ -152,7 +150,6 @@ class ServeConfig:
     seed: int = 0
     migrate_at_ms: float | None = None
     degrade: DegradeConfig = field(default_factory=DegradeConfig)
-    compensate_output: bool = True
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
 
     def __post_init__(self) -> None:
@@ -375,7 +372,7 @@ class JoinService:
             query.start,
             query.end,
             available_by,
-            compensate_output=self.config.compensate_output and ctl.mode == "normal",
+            compensate_output=ctl.mode == "normal",
         )
         shed = ctl.update_widen(answer.starved)
         value = answer.value

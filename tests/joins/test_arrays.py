@@ -215,6 +215,16 @@ class TestBatchArrays:
         with pytest.raises(ValueError, match="non-negative"):
             make_arrays([(1.0, 1.0, -3, 1.0, True), (2.0, 2.0, 0, 1.0, False)])
 
+    @pytest.mark.parametrize("column", range(5))
+    def test_rejects_misaligned_columns(self, column):
+        """A column longer than the events used to lose its surplus rows
+        to the event sort silently; a shorter one failed with IndexError."""
+        cols = [np.array([2.0, 1.0, 3.0]), np.array([2.0, 1.5, 3.0]),
+                np.array([0, 1, 0]), np.ones(3), np.array([True, False, True])]
+        for bad in (cols[column][:2], np.concatenate([cols[column], cols[column][:1]])):
+            with pytest.raises(ValueError, match="equally long"):
+                BatchArrays(*cols[:column], bad, *cols[column + 1:])
+
     def test_accepts_empty_key_column(self):
         empty = np.array([])
         BatchArrays(empty, empty, empty.astype(np.int64), empty, empty.astype(bool))

@@ -364,3 +364,27 @@ class TestFoldOnRead:
         assert grid.nbytes > 0 and (win.n, win.pending) == (4, [])
         grid.delta_append(*tiny_chunk([5.0], [5.0]))
         assert grid.drop_below(1) == 1 and len(grid) == 0
+
+
+class TestMisalignedColumnsRejected:
+    @pytest.mark.parametrize("column", range(1, 5), ids=["clock", "key", "payload", "is_r"])
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_rejected_before_any_window_changes(self, column, delta):
+        """A key column shorter than the events used to be buffered as a
+        pending segment; the window's first read then raised
+        ``IndexError`` and the next answered an empty window."""
+        grid = DeltaGrid(4, 10.0)
+        twin = DeltaGrid(4, 10.0)
+        for g in (grid, twin):
+            g.delta_append(*tiny_chunk([1.0, 2.0], [1.0, 2.0]))
+        bad = list(tiny_chunk([3.0, 4.0, 5.0], [3.0, 4.0, 5.0]))
+        bad[column] = bad[column][:2] if delta < 0 else np.concatenate(
+            [bad[column], bad[column][:1]]
+        )
+        with pytest.raises(ValueError, match="equally long"):
+            grid.delta_append(*bad)
+        assert grid.appends == 1 and len(grid) == 1
+        assert answers(grid) == answers(twin)
+        for g in (grid, twin):
+            g.delta_append(*tiny_chunk([3.0, 5.0], [3.0, 5.0]))
+        assert answers(grid) == answers(twin)

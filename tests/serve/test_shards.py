@@ -183,11 +183,10 @@ class TestCheckpoint:
         assert packed < listed
 
 
-def seeded_shard(isolate_hot: bool) -> ShardStore:
-    """A SUM shard fed 40 skewed ticks with interleaved queries,
-    optionally isolating two hot keys a third of the way in.  Event
-    times are whole milliseconds, so hot and cold rows tie often and
-    the snapshot pins their merge order too."""
+def seeded_shard() -> ShardStore:
+    """A SUM shard fed 40 skewed ticks with interleaved queries.  Event
+    times are whole milliseconds, so rows tie often and the snapshot
+    pins their merge order too."""
     rng = np.random.default_rng(2024)
     shard = ShardStore(3, 16, AggKind.SUM, 100.0, 450.0)
     clock = 0.0
@@ -198,29 +197,50 @@ def seeded_shard(isolate_hot: bool) -> ShardStore:
         key = rng.integers(0, 16, 30).astype(np.int64)
         key[rng.random(30) < 0.4] = 5
         shard.ingest(event, arrival, key, rng.uniform(0.0, 2.0, 30), rng.random(30) < 0.5)
-        if tick == 12 and isolate_hot:
-            shard.isolate_hot_keys([5, 9])
         if tick % 3 == 0:
             start = (clock // 100.0 - 1) * 100.0
             shard.query(start, start + 100.0, clock + 10.0)
     return shard
 
 
-#: SHA-256 of the seeded shards' checkpoint JSON.  A mismatch means the
+#: SHA-256 of the seeded shard's checkpoint JSON.  A mismatch means the
 #: snapshot bytes changed, and with them every migration payload and the
 #: ``serve.shard.ckpt_bytes`` values the serve baselines gate.
-PINNED_CHECKPOINT_SHA256 = {
-    False: "78e4611a281520d3b6a901e528772a97ba0aa8807454626a96d9dbfb34b49f92",
-    True: "23f5a42a4ba2d964a43153a9ed2702e6f23e8ddafcbeef5e577ca6a19f9fddc9",
-}
+PINNED_CHECKPOINT_SHA256 = "78e4611a281520d3b6a901e528772a97ba0aa8807454626a96d9dbfb34b49f92"
 
 
-@pytest.mark.parametrize("isolate_hot", [False, True], ids=["cold", "hot"])
-def test_seeded_checkpoint_bytes_are_pinned(isolate_hot):
-    snapshot = seeded_shard(isolate_hot).checkpoint()
-    assert ("hot_keys" in snapshot) == isolate_hot
+@pytest.mark.parametrize("restored", [False, True], ids=["cold", "restored"])
+def test_seeded_checkpoint_bytes_are_pinned(restored):
+    """The seeded snapshot's bytes are pinned, and a restore followed by
+    a checkpoint writes them back unchanged."""
+    shard = seeded_shard()
+    if restored:
+        shard = ShardStore.restore(json.loads(json.dumps(shard.checkpoint())))
+    snapshot = shard.checkpoint()
     digest = hashlib.sha256(json.dumps(snapshot).encode()).hexdigest()
-    assert digest == PINNED_CHECKPOINT_SHA256[isolate_hot]
+    assert digest == PINNED_CHECKPOINT_SHA256
+
+
+def test_snapshot_with_hot_keys_restores_like_cold():
+    """Snapshots written while shards could isolate hot keys carry a
+    ``hot_keys`` list; it restores into the same state and answers as
+    the snapshot without it."""
+    snapshot = json.loads(json.dumps(seeded_shard().checkpoint()))
+    cold = ShardStore.restore(snapshot)
+    legacy = ShardStore.restore({**snapshot, "hot_keys": [5, 9]})
+    clock = 1000.0
+    rng = np.random.default_rng(3)
+    for step in range(3):
+        for start in (600.0, 650.0, 700.0, 800.0, 900.0, 925.0):
+            for budget in (0.0, 15.0, 60.0):
+                a = cold.query(start, start + 100.0, clock + budget)
+                b = legacy.query(start, start + 100.0, clock + budget)
+                assert a == b, (step, start, budget)
+        clock += 25.0
+        cols = uniform_batch(rng, 40, clock - 60.0, clock - 5.0)
+        cold.ingest(*cols)
+        legacy.ingest(*cols)
+    assert legacy.checkpoint() == cold.checkpoint()
 
 
 class TestIngestContract:
@@ -279,6 +299,36 @@ class TestIngestContract:
                 np.array([1.0, 1.0]), np.array([True, False]),
             )
         assert (len(shard), shard.ingested, shard.horizon, shard.profile.weight) == before
+        assert shard.query(0.0, 50.0, 100.0) == twin.query(0.0, 50.0, 100.0)
+
+    @pytest.mark.parametrize(
+        "shard_cls", [ShardStore, FullRebuildShard], ids=["runs", "full"]
+    )
+    @pytest.mark.parametrize("column", range(1, 5))
+    def test_misaligned_columns_rejected_before_mutation(self, shard_cls, column):
+        """Three events with five keys, payloads and sides used to report
+        three tuples ingested and drop the other two rows silently."""
+        rng = np.random.default_rng(5)
+        shard = make_shard(shard_cls)
+        twin = make_shard(shard_cls)
+        cols = uniform_batch(rng, 200, 0.0, 50.0)
+        shard.ingest(*cols)
+        twin.ingest(*cols)
+        before = (len(shard), shard.ingested, shard.horizon, shard.profile.weight)
+        bad = [np.array([10.0, 20.0, 30.0]), np.array([12.0, 21.0, 33.0]),
+               np.array([1, 2, 3]), np.ones(3), np.array([True, False, True])]
+        for wrong in (bad[column][:2], np.concatenate([bad[column], bad[column][:2]])):
+            with pytest.raises(ValueError, match="equally long"):
+                shard.ingest(*bad[:column], wrong, *bad[column + 1:])
+        with pytest.raises(ValueError, match="equally long"):
+            shard.ingest(bad[0][:0], *bad[1:])  # no events, rows in the rest
+        assert (len(shard), shard.ingested, shard.horizon, shard.profile.weight) == before
+        for start in (0.0, 25.0):
+            assert shard.query(start, start + 50.0, 100.0) == twin.query(
+                start, start + 50.0, 100.0
+            )
+        shard.ingest(*bad)
+        twin.ingest(*bad)
         assert shard.query(0.0, 50.0, 100.0) == twin.query(0.0, 50.0, 100.0)
 
     @pytest.mark.parametrize(

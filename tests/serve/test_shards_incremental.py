@@ -148,7 +148,7 @@ class TestCheckpointDuringCompaction:
         for _ in range(15):
             clock += TICK_MS
             shard.ingest(*arrival_batch(rng, clock, 32))
-        before_runs = len(shard._stores[0].runs)
+        before_runs = len(shard.runs)
         snap_a = json.loads(json.dumps(shard.checkpoint()))
         # This ingest triggers at least one merge (a restored checkpoint
         # is a single run; equal-size appends compact immediately).
@@ -159,7 +159,7 @@ class TestCheckpointDuringCompaction:
         restored_a = ShardStore.restore(snap_a)
         restored_a.ingest(*tick_cols)
         restored_b = ShardStore.restore(snap_b)
-        assert shard._stores[0].runs.compactions > 0 or before_runs > 1
+        assert shard.runs.compactions > 0 or before_runs > 1
         for widx in range(int(clock // WINDOW_MS) + 1):
             start = widx * WINDOW_MS
             live = shard.query(start, start + WINDOW_MS, clock)
@@ -198,7 +198,6 @@ _ops = st.one_of(
     _tick,
     st.tuples(st.just("late"), st.integers(1, 30)),
     st.tuples(st.just("query"), st.integers(0, 5), st.integers(1, 3)),
-    st.tuples(st.just("isolate"), st.frozensets(st.integers(0, NUM_KEYS - 1), max_size=3)),
     st.tuples(st.just("restore")),
 )
 
@@ -222,10 +221,9 @@ def late_batch(rng, shard, n):
     ops=st.lists(_ops, min_size=5, max_size=80),
 )
 def test_horizon_memo_lockstep(agg, seed, warmup, ops):
-    """Back-to-back queries, late chunks behind an unchanged horizon,
-    hot-key isolation and restore, each followed by queries: the
-    incremental shard's ``evicted``, ``len`` and answers track the
-    full-rebuild reference."""
+    """Back-to-back queries, late chunks behind an unchanged horizon
+    and restore, each followed by queries: the incremental shard's
+    ``evicted``, ``len`` and answers track the full-rebuild reference."""
     rng = np.random.default_rng(seed)
     inc, ref = make_pair(agg, MEMO_RETENTION_MS)
     clock = 0.0
@@ -245,9 +243,6 @@ def test_horizon_memo_lockstep(agg, seed, warmup, ops):
             inc.ingest(*cols)
             ref.ingest(*cols)
             assert inc._max_arrival == newest
-            repeats = 1
-        elif kind == "isolate":
-            inc.isolate_hot_keys(op[1])
             repeats = 1
         elif kind == "restore":
             inc = ShardStore.restore(json.loads(json.dumps(inc.checkpoint())))
