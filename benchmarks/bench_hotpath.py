@@ -25,11 +25,11 @@ replacement and asserting equivalence before timing:
 * **serve_hotpath** — the serving shard's ingest-to-answer loop at
   growing retention: :class:`repro.bench.serve_bench.FullRebuildShard`
   (re-sort + re-aggregate per touched tick) vs the incremental
-  sorted-run + delta-grid :class:`repro.serve.shards.ShardStore`, same
+  delta-grid :class:`repro.serve.shards.ShardStore`, same
   deterministic tick stream, COUNT answers asserted bit-identical
   first.  Gated >= 3x at the largest retention point in full mode —
-  the gap that must widen with retention is the whole point of the run
-  structure.
+  the gap that must widen with retention is the whole point of the
+  incremental state.
 * **serve_telemetry** — one full :class:`repro.serve.service.JoinService`
   run with live telemetry (sampler + SLO tracker + audit log) enabled
   vs disabled; the run reports are asserted identical first (telemetry
@@ -38,7 +38,8 @@ replacement and asserting equivalence before timing:
 
 Timing is best-of-N, except in the skew, executor, serve_hotpath and
 serve_telemetry sections, which take the median ratio of interleaved
-pairs; a JSON artifact is written for tracking (see DESIGN.md for how to
+pairs (alternating which side runs first) and report the ratios' IQR;
+a JSON artifact is written for tracking (see DESIGN.md for how to
 read it).
 
 Usage::
@@ -455,8 +456,6 @@ def serve_hotpath_workload(retention_ms, pairs):
         "queries": len(inc_answers),
         "live_at_end": len(inc_shard),
         "answers_identical": True,
-        "runs": len(inc_shard.runs),
-        "compactions": inc_shard.runs.compactions,
         "pairs": pairs,
         "full": {"seconds": t_full, "tuples_per_s": n / t_full},
         "incremental": {"seconds": t_runs, "tuples_per_s": n / t_runs},
@@ -513,20 +512,20 @@ def serve_telemetry_workload(duration_ms, intensity, repeats):
     # The ratio under test is ~1% while run-to-run machine noise can be
     # 10%+, so neither best-of nor averaging either side independently
     # can resolve it.  Instead time many short adjacent off/on pairs
-    # (both halves of a pair see the same machine load) and take the
+    # (both halves of a pair see the same machine load), alternating
+    # which half runs first so neither always runs second, and take the
     # median of the per-pair ratios, which sheds load spikes that land
     # inside a single run.
     on_times, off_times = [], []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run(False)
-        off_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run(True)
-        on_times.append(time.perf_counter() - t0)
-    ratios = sorted(on / off for on, off in zip(on_times, off_times))
-    overhead = ratios[len(ratios) // 2]
-    t_on, t_off = min(on_times), min(off_times)
+    for i in range(repeats):
+        for enabled in (i % 2 == 1, i % 2 == 0):
+            t0 = time.perf_counter()
+            run(enabled)
+            (on_times if enabled else off_times).append(time.perf_counter() - t0)
+    ratios = [on / off for on, off in zip(on_times, off_times)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    overhead = statistics.median(ratios)
+    t_on, t_off = statistics.median(on_times), statistics.median(off_times)
     row = {
         "workload": f"serve_{int(duration_ms)}ms_i{intensity:g}",
         "duration_ms": duration_ms,
@@ -539,13 +538,16 @@ def serve_telemetry_workload(duration_ms, intensity, repeats):
             for e in table.values()
         ),
         "audit_events": len(service_on.audit),
+        "pairs": repeats,
         "enabled": {"seconds": t_on},
         "disabled": {"seconds": t_off},
         "overhead": overhead,
+        "overhead_iqr": q3 - q1,
     }
     print(
         f"serve_telemetry/{row['workload']}: enabled {t_on * 1e3:.1f} ms | "
-        f"disabled {t_off * 1e3:.1f} ms | overhead {row['overhead']:.3f}x"
+        f"disabled {t_off * 1e3:.1f} ms | overhead {row['overhead']:.3f}x "
+        f"(median of {repeats} pairs, IQR {q3 - q1:.3f})"
     )
     return row
 
@@ -740,8 +742,8 @@ def main(argv=None) -> int:
             )
             return 1
         # At the largest retention the full rebuild re-sorts and
-        # re-aggregates the whole retained state every tick; the run
-        # structure must beat it by 3x or it is not paying its way.
+        # re-aggregates the whole retained state every tick; the
+        # incremental shard must beat it by 3x or it is not paying its way.
         serve_headline = serve_rows[-1]
         if serve_headline["speedup"] < 3.0:
             print(
@@ -799,7 +801,7 @@ def main(argv=None) -> int:
 #: main() already bounds it each run and it has no lower-is-worse rule.
 _WALL_KEYS = frozenset(
     {"seconds", "tuples_per_s", "environment", "speedup", "speedup_iqr", "pairs",
-     "overhead"}
+     "overhead", "overhead_iqr"}
 )
 
 

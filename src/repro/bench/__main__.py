@@ -81,7 +81,7 @@ _FIGURES = {
         serve_hotpath,
         [
             "retention_ms", "ticks", "ingested", "evicted", "live", "queries",
-            "answers_equal", "runs", "compactions", "delta_appends",
+            "answers_equal", "delta_appends", "grid_windows",
         ],
     ),
     "skew": (

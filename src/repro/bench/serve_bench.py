@@ -1,6 +1,8 @@
 """The ``serve`` figures: sustained multi-tenant serving under chaos
 (``serve``) and the shard storage hot path at growing retention
-(``serve_hotpath``).
+(``serve_hotpath``: the incremental :class:`~repro.serve.shards.ShardStore`,
+whose delta grid holds each window's tuples and prefix state, against
+the :class:`FullRebuildShard` reference, answer for answer).
 
 The batch figures grade *accuracy*; this one grades *service*: a
 :class:`~repro.serve.service.JoinService` sweeps a small grid of
@@ -30,7 +32,6 @@ from repro.core.delay_profile import DelayProfile
 from repro.faults.plan import serve_load_plan
 from repro.joins.arrays import AggKind, BatchArrays, check_aligned
 from repro.serve.admission import TenantQuota
-from repro.serve.runs import merge_runs
 from repro.serve.service import ServeConfig, run_service
 from repro.serve.shards import (
     EMPTY_ANSWER,
@@ -120,9 +121,17 @@ class FullRebuildShard:
         self.retention_ms = retention_ms
         self.profile = DelayProfile()
         # Columns not yet folded into _arrays, oldest first, starting
-        # from typed empty ones (merge_runs of no runs); a rebuild
-        # leaves only its surviving columns here.
-        self._chunks: list[tuple[np.ndarray, ...]] = [merge_runs(())]
+        # from typed empty ones; a rebuild leaves only its surviving
+        # columns here.
+        self._chunks: list[tuple[np.ndarray, ...]] = [
+            (
+                np.empty(0),
+                np.empty(0),
+                np.empty(0, dtype=np.int64),
+                np.empty(0),
+                np.empty(0, dtype=bool),
+            )
+        ]
         self._arrays: BatchArrays | None = None
         self._dirty = True
         self._max_arrival = 0.0
@@ -205,7 +214,7 @@ class FullRebuildShard:
 
 #: Retention points of the ``serve_hotpath`` figure (ms).  Per-tick work
 #: is constant, so any cost growth across this sweep is retained-state
-#: cost — exactly what the incremental runs mode is supposed to flatten.
+#: cost — exactly what the incremental shard is supposed to flatten.
 _HOTPATH_RETENTIONS = (400.0, 1600.0, 6400.0)
 _HOTPATH_TICK_MS = 25.0
 _HOTPATH_WINDOW_MS = 50.0
@@ -270,10 +279,10 @@ def serve_hotpath(scale: float = 1.0, workers: int | None = None) -> list[dict]:
     Runs :class:`~repro.serve.shards.ShardStore` and the
     :class:`FullRebuildShard` reference in lockstep over the same
     deterministic tick stream at each retention point and reports the
-    structural accounting: run/compaction/delta counts for the
-    incremental shard, rebuild counts for the reference,
-    and the equality of their answers (COUNT answers are all-integer, so
-    ``answers_equal`` is an exact bit-for-bit check).  Rows carry no
+    structural accounting: delta-append and held-window counts for the
+    incremental shard, rebuild counts for the reference, eviction
+    counts for both and the equality of their answers (COUNT answers
+    are all-integer, so ``answers_equal`` is an exact bit-for-bit check).  Rows carry no
     wall-clock numbers — they are byte-identical across machines and
     worker counts; ``benchmarks/bench_hotpath.py`` does the timing.
 
@@ -302,8 +311,6 @@ def serve_hotpath(scale: float = 1.0, workers: int | None = None) -> list[dict]:
                 "answers_equal": inc_answers == ref_answers,
                 "evictions_equal": inc.evicted == ref.evicted,
                 "count_checksum": float(sum(a[2] for a in inc_answers)),
-                "runs": len(inc.runs),
-                "compactions": inc.runs.compactions,
                 "delta_appends": inc.grid.appends,
                 "grid_windows": len(inc.grid),
                 "full_rebuilds": ref.queries,  # one rebuild per dirty query

@@ -203,11 +203,6 @@ class DelayProfile:
         """Whether enough delay samples have arrived to trust the profile."""
         return self._total >= self.min_weight
 
-    @property
-    def max_delay_seen(self) -> float:
-        """Largest raw delay ever observed (an estimate of ``Delta``)."""
-        return self._max_seen
-
     def completeness(self, age: float) -> float:
         """``P(delay <= age)`` — expected fraction arrived by ``age`` ms.
 

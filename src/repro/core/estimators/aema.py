@@ -131,8 +131,3 @@ class AEMAEstimator(PosteriorEstimator):
     def is_warm(self) -> bool:
         """Whether at least one observation has been folded in."""
         return self._count >= 3
-
-    @property
-    def current_alpha(self) -> float:
-        """The adaptive smoothing rate currently in force (for tests)."""
-        return self._alpha

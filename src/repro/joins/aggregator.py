@@ -49,7 +49,7 @@ from repro.joins.arrays import (
     negative_key_error,
 )
 
-__all__ = ["DeltaAppendError", "DeltaGrid", "WindowAggregator"]
+__all__ = ["DeltaGrid", "WindowAggregator"]
 
 _EMPTY = WindowAggregate(0, 0, 0.0, 0.0)
 
@@ -346,34 +346,25 @@ class WindowAggregator:
         return agg
 
 
-class DeltaAppendError(ValueError):
-    """An appended chunk is not clock-monotone against the grid's state.
-
-    :meth:`DeltaGrid.delta_append` requires each touched window's new
-    tuples to start at or after that window's last appended clock value,
-    pending segments included (prefix aggregates only ever *extend*).
-    The serving layer's ingest is arrival-ordered so this never fires in
-    steady state; callers that cannot guarantee it (restores,
-    adversarial tests) catch this and rebuild the grid from their run
-    storage.  The grid is left unmodified when this is raised.
-    """
-
-
 class _DeltaWindow:
-    """Growable per-window delta state of one :class:`DeltaGrid` window.
+    """The tuples and the growable prefix state of one :class:`DeltaGrid` window.
 
-    Holds the dense per-key join state (``c_r``/``c_s``/``sum_rv``) the
-    O(1)-per-tuple insertion kernel rolls forward, plus the clock-sorted
-    inclusive prefix columns queries binary-search.  Arrays grow by
-    doubling, so folding is amortized O(1) per tuple.  ``pending`` holds
-    the appended segments not yet folded into the prefix columns, as
-    ``(key, payload, is_r, clock)`` views in append order, and ``last``
-    the largest clock appended so far, pending segments included.
+    ``segs`` holds every segment appended to the window, as
+    ``(event, clock, key, payload, is_r)`` views in append order: the
+    grid's only copy of the window's tuples.  The last ``pending`` of
+    them are not yet folded into the prefix state: the dense per-key
+    join state (``c_r``/``c_s``/``sum_rv``) the O(1)-per-tuple insertion
+    kernel rolls forward, plus the clock-sorted inclusive prefix columns
+    queries binary-search.  Prefix arrays grow by doubling, so folding
+    is amortized O(1) per tuple.  ``last`` is the largest clock appended
+    so far, pending segments included, ``size`` the number of tuples
+    held and ``dead`` how many of them :meth:`DeltaGrid.evict` has
+    counted as behind the horizon.
     """
 
     __slots__ = (
         "c_r", "c_s", "sum_rv", "n", "clock", "p_matches", "p_sum", "p_nr", "p_ns",
-        "last", "pending",
+        "last", "segs", "pending", "size", "dead",
     )
 
     def __init__(self, num_keys: int):
@@ -387,7 +378,18 @@ class _DeltaWindow:
         self.p_nr = np.empty(0, dtype=np.int64)
         self.p_ns = np.empty(0, dtype=np.int64)
         self.last = -math.inf
-        self.pending: list[tuple[np.ndarray, ...]] = []
+        self.segs: list[tuple[np.ndarray, ...]] = []
+        self.pending = 0
+        self.size = 0
+        self.dead = 0
+
+    def unfold(self) -> None:
+        """Clear the prefix state: the next read refolds every segment."""
+        self.c_r.fill(0)
+        self.c_s.fill(0)
+        self.sum_rv.fill(0.0)
+        self.n = 0
+        self.pending = len(self.segs)
 
     def _reserve(self, extra: int) -> None:
         need = self.n + extra
@@ -412,39 +414,39 @@ class _DeltaWindow:
             + self.p_sum.nbytes
             + self.p_nr.nbytes
             + self.p_ns.nbytes
+            + sum(col.nbytes for seg in self.segs for col in seg)
         )
 
 
 class DeltaGrid:
-    """Mergeable, append-only prefix aggregates of one tumbling grid.
+    """Mergeable, append-only window state of one tumbling grid.
 
-    Where :class:`_GridIndex` builds its prefix columns in one batch
-    sweep and must be rebuilt from scratch whenever the batch grows,
-    ``DeltaGrid`` *extends* per-window prefix state: each fold builds
-    only the new tuples' deltas — O(new tuples) — seeded from the
-    accumulated per-key counts, so a pair spanning two folds is charged
-    exactly once, in the fold that holds the later tuple.  After any
-    append sequence, a window's prefix at clock cut ``t`` equals what a
-    from-scratch :class:`_GridIndex` over the union would report:
-    integer columns (``n_r``/``n_s``/``matches``) bit for bit, the
-    float payload sum to within summation-order rounding.
+    Each window keeps its tuples, in append order, next to prefix
+    aggregates over them.  Where :class:`_GridIndex` builds its prefix
+    columns in one batch sweep and must be rebuilt from scratch whenever
+    the batch grows, ``DeltaGrid`` *extends* per-window prefix state:
+    each fold builds only the new tuples' deltas — O(new tuples) —
+    seeded from the accumulated per-key counts, so a pair spanning two
+    folds is charged exactly once, in the fold that holds the later
+    tuple.  After any append sequence, a window's prefix at clock cut
+    ``t`` equals what a from-scratch :class:`_GridIndex` over the union
+    would report: integer columns (``n_r``/``n_s``/``matches``) bit for
+    bit, the float payload sum to within summation-order rounding.
 
-    Folding is on read.  An append validates the chunk and buffers each
+    Folding is on read.  An append validates the chunk and adds each
     touched window's segment as views of the appended columns (callers
-    must not mutate them afterwards); the first read of a window
-    (:meth:`query`, :attr:`nbytes`) folds all of its pending segments
-    with one stable clock sort and one prefix extension.  A window
-    absorbs many appends between reads, so most appends cost a few
-    reductions instead of a prefix extension each.  Segments are
-    clock-monotone across appends, so the fold orders tuples exactly as
-    folding each append at once would.
+    must not mutate them afterwards); the first :meth:`query` (or
+    :attr:`nbytes`) of a window folds its pending segments with one
+    stable clock sort and one prefix extension, so a window absorbs
+    many appends between reads.  A segment whose clocks start before
+    the window's last appended clock cannot extend the prefix; it clears
+    the window's prefix state instead, and the next read refolds that
+    window alone from its segments.  Eviction (:meth:`evict`), off-grid
+    scans (:meth:`scan`) and snapshots (:meth:`columns`) read the
+    segments, folded or not, and never fold, so they do not move a fold.
 
-    The availability clock must be nondecreasing per window across
-    appends (:class:`DeltaAppendError` otherwise, checked against the
-    window's last appended clock, pending segments included); within a
-    chunk any order is fine.  This is the aggregation engine behind
-    :class:`repro.serve.shards.ShardStore`; the generic batch path keeps
-    using :class:`WindowAggregator`.
+    This is the state of :class:`repro.serve.shards.ShardStore`; the
+    generic batch path keeps using :class:`WindowAggregator`.
 
     Args:
         num_keys: Dense width of the per-key count state (appending a
@@ -481,10 +483,10 @@ class DeltaGrid:
 
     @property
     def nbytes(self) -> int:
-        """Memory held by all window states (the grid's working set).
+        """Memory held by all windows: segments and prefix state.
 
-        Folds every window's pending segments first, so the figure is
-        the folded prefix state's.
+        Folds every window's pending segments first, so the prefix
+        figure is the folded state's.
         """
         for win in self._windows.values():
             if win.pending:
@@ -504,18 +506,16 @@ class DeltaGrid:
         payload: np.ndarray,
         is_r: np.ndarray,
     ) -> int:
-        """Buffer one event-sorted chunk in the grid; touched windows.
+        """Add one event-sorted chunk to the grid; touched windows.
 
-        ``event`` must be sorted ascending (a
-        :class:`repro.serve.runs.SortedRun` provides this for free);
-        window membership then uses the exact ``searchsorted`` edge
-        semantics of :class:`_GridIndex`, so boundary tuples land in the
-        same window as the reference.  The whole validation pass runs
-        before any state is touched: on :class:`DeltaAppendError`, or
-        the ``ValueError`` of columns of unequal length, a non-finite
-        event or clock value or a key outside ``[0, num_keys)``, the
-        grid is unchanged.  Each touched window keeps its segment
-        pending until its next read.
+        ``event`` must be sorted ascending; window membership then uses
+        the exact ``searchsorted`` edge semantics of :class:`_GridIndex`,
+        so boundary tuples land in the same window as the reference.
+        Any clock order is accepted.  Validation runs before any state
+        is touched: columns of unequal length, a non-finite event or
+        clock value or a key outside ``[0, num_keys)`` raise
+        ``ValueError`` and leave the grid unchanged.  Each touched
+        window keeps its segment pending until its next read.
         """
         check_aligned(event, clock, key, payload, is_r)
         if len(event) == 0:
@@ -541,47 +541,48 @@ class DeltaGrid:
         bounds = event.searchsorted(edges, side="left").tolist()
         if bounds[0] != 0 or bounds[-1] != n:
             raise AssertionError("grid padding failed to cover the chunk")
-        # Pass 1: validate every touched segment's clock range against
-        # its window's last appended clock — all or nothing.
         windows = self._windows
-        segments: list[tuple[int, int, int, float]] = []
+        touched = 0
         for i in range(len(bounds) - 1):
             lo, hi = bounds[i], bounds[i + 1]
             if hi <= lo:
                 continue
-            idx = w_lo + i
+            win = windows.get(w_lo + i)
+            if win is None:
+                win = windows[w_lo + i] = _DeltaWindow(self.num_keys)
             seg = clock[lo:hi]
             first = float(seg.min())
-            win = windows.get(idx)
-            if win is not None and first < win.last:
-                raise DeltaAppendError(
-                    f"window {idx}: chunk clock {first} precedes the "
-                    f"window's last appended clock {win.last}"
-                )
-            segments.append((idx, lo, hi, float(seg.max())))
-        # Pass 2: buffer each segment; its window folds it on read.
-        for idx, lo, hi, last in segments:
-            win = windows.get(idx)
-            if win is None:
-                win = windows[idx] = _DeltaWindow(self.num_keys)
-            win.pending.append((key[lo:hi], payload[lo:hi], is_r[lo:hi], clock[lo:hi]))
+            last = float(seg.max())
+            if first < win.last:
+                # Out of clock order: the prefix cannot be extended, so the
+                # window refolds from its segments on its next read.
+                win.unfold()
+                if last < win.last:
+                    last = win.last
             win.last = last
+            win.segs.append((event[lo:hi], seg, key[lo:hi], payload[lo:hi], is_r[lo:hi]))
+            win.pending += 1
+            win.size += hi - lo
+            touched += 1
         self.appends += 1
-        return len(segments)
+        return touched
 
     def _fold(self, win: _DeltaWindow) -> None:
         """Roll a window's pending segments into its prefix state.
 
-        Each pending segment's clocks start at or after the previous
-        one's end, so one stable sort of their concatenation orders the
-        tuples exactly as sorting each segment on its own would.
+        An in-order segment's clocks start at or after the previous
+        one's end, so one stable sort of the pending concatenation
+        orders the tuples exactly as sorting each segment on its own
+        would; after :meth:`_DeltaWindow.unfold` every segment is
+        pending and the same sort orders them all.
         """
-        pending = win.pending
-        win.pending = []
-        if len(pending) == 1:
-            key, payload, is_r, clock = pending[0]
+        segs = win.segs[-win.pending :]
+        win.pending = 0
+        if len(segs) == 1:
+            _, clock, key, payload, is_r = segs[0]
         else:
-            key, payload, is_r, clock = (np.concatenate(col) for col in zip(*pending))
+            _, *cols = zip(*segs)
+            clock, key, payload, is_r = (np.concatenate(col) for col in cols)
         order = np.argsort(clock, kind="stable")
         self._append_segment(win, key[order], payload[order], is_r[order], clock[order])
 
@@ -631,7 +632,7 @@ class DeltaGrid:
         win.p_ns[j : j + m] = (pos + 1) - np.cumsum(nr_seg) + base_ns
         win.n = j + m
 
-    # -- queries --------------------------------------------------------------
+    # -- reads ----------------------------------------------------------------
 
     def query(self, idx: int, available_by: float | None) -> WindowAggregate:
         """Aggregate of grid window ``idx`` over its available prefix.
@@ -657,13 +658,103 @@ class DeltaGrid:
             float(win.p_sum[j - 1]),
         )
 
-    def drop_below(self, min_idx: int) -> int:
-        """Drop whole window states with index below ``min_idx``.
+    def scan(self, lo: float, hi: float, available_by: float | None) -> WindowAggregate:
+        """Exact aggregate of the held tuples with ``lo <= event < hi``
+        and ``clock <= available_by`` (any range, on the grid or off it).
 
-        The retention analog of run eviction: a window entirely behind
-        the horizon can never be grid-answered again, so its state,
-        pending segments included, is released in one dict deletion —
-        survivors untouched.  Returns the number of windows dropped.
+        Bincounts over the slices of every overlapping window's
+        segments; each segment is event-sorted, so a slice is two
+        ``searchsorted`` calls.
+        """
+        origin, length = self.origin, self.length
+        parts = []
+        for idx in sorted(self._windows):
+            if origin + idx * length >= hi or origin + (idx + 1) * length <= lo:
+                continue
+            for event, clock, key, payload, is_r in self._windows[idx].segs:
+                a = int(event.searchsorted(lo))
+                b = int(event.searchsorted(hi))
+                if a < b:
+                    parts.append((clock[a:b], key[a:b], payload[a:b], is_r[a:b]))
+        if not parts:
+            return _EMPTY
+        clock, key, payload, is_r = (np.concatenate(col) for col in zip(*parts))
+        if available_by is not None:
+            avail = clock <= available_by
+            key, payload, is_r = key[avail], payload[avail], is_r[avail]
+        n_r = int(is_r.sum())
+        n_s = len(key) - n_r
+        if n_r == 0 or n_s == 0:
+            return WindowAggregate(n_r, n_s, 0.0, 0.0)
+        num_keys = self.num_keys
+        c_r = np.bincount(key[is_r], minlength=num_keys)
+        c_s = np.bincount(key[~is_r], minlength=num_keys)
+        sum_rv = np.bincount(key[is_r], weights=payload[is_r], minlength=num_keys)
+        return WindowAggregate(n_r, n_s, float(c_r @ c_s), float(sum_rv @ c_s))
+
+    def columns(self, horizon: float) -> tuple[np.ndarray, ...]:
+        """The held tuples with ``event >= horizon`` as one event-sorted
+        ``(event, clock, key, payload, is_r)`` column set.
+
+        Windows in index order, with a stable event sort inside each:
+        equal event times keep their append order.  Typed empty columns
+        when nothing is held.
+        """
+        parts = []
+        for idx in sorted(self._windows):
+            segs = self._windows[idx].segs
+            cols = segs[0] if len(segs) == 1 else [np.concatenate(c) for c in zip(*segs)]
+            order = np.argsort(cols[0], kind="stable")
+            order = order[int(cols[0][order].searchsorted(horizon)) :]
+            if len(order):
+                parts.append([col[order] for col in cols])
+        if not parts:
+            return (
+                np.empty(0),
+                np.empty(0),
+                np.empty(0, dtype=np.int64),
+                np.empty(0),
+                np.empty(0, dtype=bool),
+            )
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    # -- retention ------------------------------------------------------------
+
+    def evict(self, horizon: float) -> int:
+        """Count the held tuples newly behind ``horizon``; drop stale windows.
+
+        A tuple is evicted once its event time falls behind the horizon,
+        so the count equals what a rebuild-time ``event >= horizon``
+        filter would newly drop.  A window whose upper edge is at or
+        behind the horizon is evicted whole; only the window straddling
+        it counts ``event < horizon``, one ``searchsorted`` per
+        event-sorted segment.  Nothing is folded.  Windows more than one
+        window behind the horizon are then released (:meth:`drop_below`;
+        the window of slack absorbs float fuzz in the ``floor``).
+        Horizons must not decrease from call to call.
+        """
+        origin, length = self.origin, self.length
+        newly = 0
+        for idx, win in self._windows.items():
+            if win.dead == win.size or origin + idx * length >= horizon:
+                continue
+            if origin + (idx + 1) * length <= horizon:
+                dead = win.size
+            else:
+                dead = 0
+                for seg in win.segs:
+                    dead += int(seg[0].searchsorted(horizon))
+            newly += dead - win.dead
+            win.dead = dead
+        self.drop_below(math.floor((horizon - origin) / length) - 1)
+        return newly
+
+    def drop_below(self, min_idx: int) -> int:
+        """Drop whole windows with index below ``min_idx``.
+
+        A window entirely behind the horizon can never be read again, so
+        its segments and prefix state are released in one dict deletion
+        — survivors untouched.  Returns the number of windows dropped.
         """
         stale = [idx for idx in self._windows if idx < min_idx]
         for idx in stale:

@@ -111,11 +111,6 @@ class WindowRecord:
     emit_time: float
     contributing: int
 
-    @property
-    def absolute_miss(self) -> float:
-        """Absolute difference between the emitted and exact values."""
-        return abs(self.value - self.expected)
-
 
 @dataclass
 class RunResult:

@@ -24,7 +24,6 @@ tenancy and chaos intensity through the same path.
 
 from repro.serve.admission import AdmissionController, TenantQuota
 from repro.serve.autoscaler import VerticalAutoscaler
-from repro.serve.runs import RunStack, SortedRun, merge_sorted_runs
 from repro.serve.service import JoinService, ServeConfig, run_service
 from repro.serve.shards import ShardAnswer, ShardStore
 from repro.serve.telemetry import ServeTelemetry, TelemetryConfig
@@ -32,15 +31,12 @@ from repro.serve.telemetry import ServeTelemetry, TelemetryConfig
 __all__ = [
     "AdmissionController",
     "JoinService",
-    "RunStack",
     "ServeConfig",
     "ServeTelemetry",
     "ShardAnswer",
     "ShardStore",
-    "SortedRun",
     "TelemetryConfig",
     "TenantQuota",
     "VerticalAutoscaler",
-    "merge_sorted_runs",
     "run_service",
 ]

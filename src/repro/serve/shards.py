@@ -1,33 +1,32 @@
 """Key-sharded operator state for the serving layer.
 
 Each shard owns a disjoint key range of the shared join state and keeps
-it in one store.  Every ingest chunk becomes an event-sorted
-:class:`~repro.serve.runs.SortedRun` (one O(chunk log chunk) sort at
-ingest) stacked in a size-tiered :class:`~repro.serve.runs.RunStack`
-with amortized two-pointer compaction, while a mergeable
-:class:`~repro.joins.aggregator.DeltaGrid` buffers each chunk's window
-segments (validated, as views of the run) and folds a window's pending
-segments into its prefix aggregates on the first query that reads it:
-tenants read only closed windows, so a window absorbs many chunks per
-fold.  A query is a binary search into the window's prefix state, or an
-exact rescan of the runs for off-grid windows and the one window
-straddling the retention horizon.
-Retention eviction advances per-run frontiers and drops whole expired
-runs, so the shard never re-sorts or re-aggregates data it has already
-absorbed.  Eviction is memoized on the horizon: it only moves on
-ingest, so a query with nothing ingested since the last eviction skips
-the sweep.  Shards do no skew detection or hot-key isolation; that is
-the join operators' job (:mod:`repro.joins.partitioned`).
+it in one :class:`~repro.joins.aggregator.DeltaGrid`.  Every ingest
+chunk is sorted by event time once and split into window segments;
+each window holds its segments (the shard's only copy of its tuples)
+next to prefix aggregates over them, folded on the first query that
+reads the window: tenants read only closed windows, so a window absorbs
+many chunks per fold.  A query is a binary search into the window's
+prefix state, or an exact scan of the overlapping windows' segments for
+off-grid windows and the one window straddling the retention horizon.
+A chunk that arrives out of clock order makes only the windows it
+touches refold.  Eviction counts the tuples behind the horizon window
+by window, without folding, and drops whole expired windows, so the
+shard never re-sorts or re-aggregates data it has already absorbed.
+Eviction is memoized on the horizon: it only moves on ingest, so a
+query with nothing ingested since the last eviction skips the sweep.
+Shards do no skew detection or hot-key isolation; that is the join
+operators' job (:mod:`repro.joins.partitioned`).
 
 The full-rebuild reference,
 :class:`repro.bench.serve_bench.FullRebuildShard`, answers the same
 queries by re-sorting and re-aggregating all retained state.
 ``tests/serve/test_shards_incremental.py`` drives both in lockstep
-across randomized ingest/query/evict/checkpoint/restore interleavings:
-integer accounting (``n_r``/``n_s``/match counts, hence every COUNT
-answer, ``evicted`` and ``len``) agrees bit for bit, and float payload
-sums agree to summation-order rounding (~1 ulp per addend), the same
-caveat the batch aggregator carries.
+across randomized ingest/query/evict/checkpoint/restore interleavings,
+out-of-order chunks included: integer accounting (``n_r``/``n_s``/match
+counts, hence every COUNT answer, ``evicted`` and ``len``) agrees bit
+for bit, and float payload sums agree to summation-order rounding (~1
+ulp per addend), the same caveat the batch aggregator carries.
 
 Queries are answered with *PECJ-lite* compensation
 (:func:`pecj_lite_answer`): the observed window aggregate is inflated
@@ -46,10 +45,8 @@ packed as base64 little-endian arrays, which is what tenant migration
 in :mod:`repro.serve.service` round-trips.
 
 Counters: ``serve.shard.ingested``, ``serve.shard.evicted``,
-``serve.shard.queries``, ``serve.shard.compactions``,
-``serve.shard.delta_appends``, ``serve.shard.grid_rebuilds``,
-``serve.shard.scan_fallbacks``.  Gauge: ``serve.shard.runs``.
-Histogram: ``serve.shard.ckpt_bytes``.
+``serve.shard.queries``, ``serve.shard.delta_appends``,
+``serve.shard.scan_fallbacks``.  Histogram: ``serve.shard.ckpt_bytes``.
 """
 
 from __future__ import annotations
@@ -67,9 +64,8 @@ from repro import obs
 from repro.core.compensation import compensated_value
 from repro.core.delay_profile import DelayProfile
 from repro.core.persistence import profile_state, restore_profile
-from repro.joins.aggregator import DeltaAppendError, DeltaGrid
+from repro.joins.aggregator import DeltaGrid
 from repro.joins.arrays import AggKind, WindowAggregate, check_aligned
-from repro.serve.runs import RunStack, SortedRun, merge_runs
 
 __all__ = ["ShardAnswer", "ShardStore"]
 
@@ -213,9 +209,12 @@ def snapshot_state(shard, cols: tuple[np.ndarray, ...], storage: str) -> dict[st
     """Schema-v2 snapshot of a shard holding the event-sorted ``cols``.
 
     Records the shard's geometry, newest arrival, lifetime counters and
-    learned profile next to the base64-packed columns; ``storage`` names
-    the writer (``"runs"`` or ``"full"``).  The serialized size lands in
-    the ``serve.shard.ckpt_bytes`` histogram.
+    learned profile next to the base64-packed columns.  ``storage`` is
+    the writer's tag in the ``"rebuild"`` field: ``"runs"`` for
+    :class:`ShardStore` (the name of its former sorted-run storage,
+    kept so its snapshot bytes stay as they were) and ``"full"`` for the
+    full-rebuild reference; no reader interprets it.  The serialized
+    size lands in the ``serve.shard.ckpt_bytes`` histogram.
     """
     snapshot = {
         "version": _STATE_VERSION,
@@ -278,10 +277,7 @@ class ShardStore:
     """Operator state of one key shard.
 
     Attributes:
-        runs: The sorted-run stack holding the shard's tuples.
-        grid: The delta grid over the same tuples.  An out-of-order
-            chunk leaves it behind the runs; the next query rebuilds it
-            from them.
+        grid: The delta grid holding the shard's tuples, window by window.
 
     Args:
         shard_id: The shard's index (labels trace events).
@@ -291,8 +287,8 @@ class ShardStore:
         agg: Aggregation answered by :meth:`query`.
         window_ms: Window length of the query grid.
         retention_ms: Tuples whose event time falls further than this
-            behind the newest arrival are dropped (run-granular).  Must
-            comfortably exceed the window length plus the widest
+            behind the newest arrival are dropped (window-granular).
+            Must comfortably exceed the window length plus the widest
             availability budget or queries would silently lose history.
     """
 
@@ -312,9 +308,7 @@ class ShardStore:
         self.window_ms = window_ms
         self.retention_ms = retention_ms
         self.profile = DelayProfile()
-        self.runs = RunStack()
         self.grid = DeltaGrid(num_keys, window_ms)
-        self._grid_dirty = False
         self._max_arrival = 0.0
         # Horizon the state was last advanced to, or None when tuples
         # have been added since (see _advance_horizon).
@@ -344,36 +338,27 @@ class ShardStore:
     ) -> None:
         """Absorb a batch of arrived tuples (columnar, any order).
 
-        The chunk is stacked as one run and buffered in the grid.
-        Delays are learned as ``max(arrival - event, 0)`` — the profile
-        rejects negative delays outright, and a tuple that arrived
-        early has simply arrived.  Columns of unequal length, keys
-        outside ``[0, num_keys)`` and non-finite event or arrival times
-        are rejected before any state is touched.
+        The chunk is sorted by event time (stable, its only sort) and
+        added to the grid.  Delays are learned as ``max(arrival - event,
+        0)`` — the profile rejects negative delays outright, and a tuple
+        that arrived early has simply arrived.  Columns of unequal
+        length, keys outside ``[0, num_keys)`` and non-finite event or
+        arrival times are rejected before any state is touched.
         """
         if len(event) == 0:
             check_aligned(event, arrival, key, payload, is_r)
             return
         cols, delays = check_chunk(self, event, arrival, key, payload, is_r)
-        run = SortedRun.from_chunk(*cols)
-        merges = self.runs.append(run)
-        if merges:
-            obs.counter("serve.shard.compactions").inc(merges)
-        if not self._grid_dirty:
-            try:
-                # Columns validated by check_chunk on the way in.
-                self.grid._delta_append(
-                    run.event, run.arrival, run.key, run.payload, run.is_r
-                )
-                obs.counter("serve.shard.delta_appends").inc()
-            except DeltaAppendError:
-                # Out-of-order arrivals (never the service's tick
-                # path): rebuild the grid lazily from the runs.
-                self._grid_dirty = True
-        obs.gauge("serve.shard.runs").set(float(len(self.runs)))
+        event, arrival, key, payload, is_r = cols
+        order = np.argsort(event, kind="stable")
+        # Columns validated by check_chunk on the way in.
+        self.grid._delta_append(
+            event[order], arrival[order], key[order], payload[order], is_r[order]
+        )
+        obs.counter("serve.shard.delta_appends").inc()
         self._advanced_to = None
         self.profile._absorb(delays, float(delays.max()))
-        self._max_arrival = max(self._max_arrival, float(cols[1].max()))
+        self._max_arrival = max(self._max_arrival, float(arrival.max()))
         self.ingested += len(delays)
         obs.counter("serve.shard.ingested").inc(len(delays))
 
@@ -383,10 +368,9 @@ class ShardStore:
         Newly expired tuples are exactly those the full-rebuild
         reference's rebuild-time ``event >= horizon`` filter would drop
         now, so the ``evicted`` counter (and ``len``) agree with it
-        after every query.  Run eviction is frontier bumps plus
-        whole-run drops.  Grid windows fully behind the horizon release
-        their state in one dict deletion, with one window of float-fuzz
-        slack: the query path re-checks ``start >= horizon`` regardless.
+        after every query.  The grid counts them window by window and
+        releases windows wholly behind the horizon
+        (:meth:`~repro.joins.aggregator.DeltaGrid.evict`).
 
         Memoized: the horizon only moves on ingest, so a second call at
         the same horizon with nothing ingested since has nothing to
@@ -397,13 +381,10 @@ class ShardStore:
         horizon = self.horizon
         if horizon == self._advanced_to:
             return horizon
-        newly = self.runs.advance_horizon(horizon)
-        grid = self.grid
-        grid.drop_below(math.floor((horizon - grid.origin) / grid.length) - 1)
+        newly = self.grid.evict(horizon)
         if newly:
             self.evicted += newly
             obs.counter("serve.shard.evicted").inc(newly)
-            obs.gauge("serve.shard.runs").set(float(len(self.runs)))
         self._advanced_to = horizon
         return horizon
 
@@ -414,10 +395,10 @@ class ShardStore:
     ) -> ShardAnswer:
         """Answer a window join query over the shard's observed state.
 
-        The grid answers a grid-aligned window wholly inside retention.
-        Off-grid windows and the one window straddling the horizon,
-        where the grid's prefix state still holds evicted tuples, fall
-        back to an exact rescan of the live runs.
+        The grid's prefix state answers a grid-aligned window wholly
+        inside retention.  Off-grid windows and the one window
+        straddling the horizon, whose prefix state still holds evicted
+        tuples, are scanned from the grid's segments instead.
 
         Args:
             start, end: Window bounds in event time.
@@ -434,74 +415,30 @@ class ShardStore:
         if len(self) == 0:
             return EMPTY_ANSWER
         grid = self.grid
-        if self._grid_dirty:
-            grid = self.grid = DeltaGrid(self.num_keys, self.window_ms)
-            cols = merge_runs(self.runs.runs)
-            if len(cols[0]):
-                grid.delta_append(*cols)
-            self._grid_dirty = False
-            obs.counter("serve.shard.grid_rebuilds").inc()
         if grid.covers(start, end) and start >= horizon:
             observed = grid.query(grid.window_index(start), available_by)
         else:
-            observed = self._scan(start, end, available_by, horizon)
+            obs.counter("serve.shard.scan_fallbacks").inc()
+            observed = grid.scan(max(start, horizon), end, available_by)
         return pecj_lite_answer(
             self.agg, self.profile, observed, start, end, available_by, compensate_output
         )
-
-    def _scan(
-        self, start: float, end: float, available_by: float | None, horizon: float
-    ) -> WindowAggregate:
-        """Observed aggregate of ``[start, end)`` from a rescan of the
-        live runs (the off-grid and horizon-straddling fallback)."""
-        obs.counter("serve.shard.scan_fallbacks").inc()
-        num_keys = self.num_keys
-        c_r = np.zeros(num_keys, dtype=np.int64)
-        c_s = np.zeros(num_keys, dtype=np.int64)
-        sum_rv = np.zeros(num_keys)
-        n_r = 0
-        n_s = 0
-        lo_bound = max(start, horizon)
-        for run in self.runs.runs:
-            sl = run.live_slice(lo_bound, end)
-            if sl.stop <= sl.start:
-                continue
-            k = run.key[sl]
-            r = run.is_r[sl]
-            p = run.payload[sl]
-            if available_by is not None:
-                avail = run.arrival[sl] <= available_by
-                k = k[avail]
-                r = r[avail]
-                p = p[avail]
-            if len(k) == 0:
-                continue
-            n_r += int(r.sum())
-            n_s += int(len(k) - r.sum())
-            c_r += np.bincount(k[r], minlength=num_keys)
-            c_s += np.bincount(k[~r], minlength=num_keys)
-            sum_rv += np.bincount(k[r], weights=p[r], minlength=num_keys)
-        if n_r == 0 or n_s == 0:
-            return WindowAggregate(n_r, n_s, 0.0, 0.0)
-        return WindowAggregate(n_r, n_s, float(c_r @ c_s), float(sum_rv @ c_s))
 
     # -- checkpoint / migration --------------------------------------------
 
     def checkpoint(self) -> dict[str, Any]:
         """Snapshot the shard as a JSON-compatible dict (schema v2).
 
-        The snapshot captures the post-eviction merged columns (so a
-        restored shard answers queries identically), the learned delay
-        profile and the lifetime counters — ``ingested``, ``evicted``
-        *and* ``queries``, so a migrated shard's accounting identities
-        keep holding: everything a successor needs to take over the
-        shard mid-run.  The columns come from a two-pointer merge of the
-        live runs, with no re-sort, and the run structure itself is
-        *not* serialized: a restore adopts the merged columns as one
-        run, which compaction then grows normally.
+        The snapshot captures the post-eviction columns, event-sorted
+        with ties in ingest order (so a restored shard answers queries
+        identically), the learned delay profile and the lifetime
+        counters — ``ingested``, ``evicted`` *and* ``queries``, so a
+        migrated shard's accounting identities keep holding: everything
+        a successor needs to take over the shard mid-run.  Reading the
+        columns folds nothing.
         """
-        self._advance_horizon()
-        return snapshot_state(self, merge_runs(self.runs.runs), "runs")
+        horizon = self._advance_horizon()
+        return snapshot_state(self, self.grid.columns(horizon), "runs")
 
     @classmethod
     def restore(cls, state: dict[str, Any]) -> "ShardStore":
@@ -511,12 +448,9 @@ class ShardStore:
         """
         shard, cols = restore_state(cls, state)
         if len(cols[0]):
-            # from_chunk re-sorts defensively: snapshots written by this
-            # code are already event-sorted (stable argsort is then a
-            # no-op pass), but hand-built ones may not be.
-            run = SortedRun.from_chunk(*cols)
-            shard.runs.append(run)
-            shard.grid.delta_append(
-                run.event, run.arrival, run.key, run.payload, run.is_r
-            )
+            # Snapshots written by this code are already event-sorted (a
+            # stable argsort is then a no-op pass), but hand-built ones
+            # may not be.
+            order = np.argsort(cols[0], kind="stable")
+            shard.grid.delta_append(*(col[order] for col in cols))
         return shard

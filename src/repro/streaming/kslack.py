@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterable
 
 from repro import obs
 from repro.obs import trace
@@ -96,13 +95,6 @@ class KSlackBuffer:
         if slack < old:
             return self._drain_ready()
         return []
-
-    def push_many(self, tuples: Iterable[StreamTuple]) -> list[StreamTuple]:
-        """Push tuples in arrival order; return all releases, concatenated."""
-        out: list[StreamTuple] = []
-        for t in tuples:
-            out.extend(self.push(t))
-        return out
 
     def _drain_ready(self) -> list[StreamTuple]:
         released: list[StreamTuple] = []

@@ -44,12 +44,6 @@ class ReplaySource:
         """Number of tuples not yet delivered."""
         return len(self._tuples) - self._cursor
 
-    def peek_next_arrival(self) -> float | None:
-        """Arrival time of the next undelivered tuple, or None."""
-        if self.exhausted:
-            return None
-        return self._tuples[self._cursor].arrival_time
-
     def poll(self, now: float) -> list[StreamTuple]:
         """All not-yet-delivered tuples with ``arrival_time <= now``."""
         out: list[StreamTuple] = []

@@ -119,10 +119,6 @@ class StreamBatch:
         """The underlying tuples in insertion order."""
         return self._tuples
 
-    def in_event_order(self) -> list[StreamTuple]:
-        """Tuples sorted by event time (ties broken by side then seq)."""
-        return sorted(self._tuples, key=by_event)
-
     def in_arrival_order(self) -> list[StreamTuple]:
         """Tuples sorted by arrival time — what the join operator sees."""
         return sorted(self._tuples, key=by_arrival)

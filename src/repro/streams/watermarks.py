@@ -71,24 +71,6 @@ class WatermarkGenerator:
             return -math.inf
         return self._max_event - self.lag
 
-    def is_late(self, t: StreamTuple) -> bool:
-        """Whether a tuple arrives behind the current watermark."""
-        return t.event_time < self.watermark
-
-    def record_trace(self) -> None:
-        """Emit the current watermark position as a trace instant.
-
-        Call at any sampling cadence the caller likes (per window, per
-        batch); a no-op when tracing is off or before the first tuple.
-        """
-        if not trace.is_tracing() or math.isinf(self._max_event):
-            return
-        trace.instant(
-            "watermark", self._max_event,
-            cat="buffer", track=f"watermark.{type(self).__name__}",
-            args={"watermark": float(self.watermark), "lag": float(self.lag)},
-        )
-
 
 class PeriodicWatermark(WatermarkGenerator):
     """Fixed-lag watermark (bounded out-of-orderness)."""

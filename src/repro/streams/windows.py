@@ -44,10 +44,6 @@ class Window:
         """Whether the tuple's *event time* falls in this window."""
         return self.start <= t.event_time < self.end
 
-    def contains_time(self, event_time: float) -> bool:
-        """Whether a raw event time falls in this window."""
-        return self.start <= event_time < self.end
-
     def select(self, tuples: Iterable[StreamTuple]) -> list[StreamTuple]:
         """All tuples from ``tuples`` whose event time is in this window."""
         return [t for t in tuples if self.contains(t)]

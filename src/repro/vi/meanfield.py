@@ -83,13 +83,6 @@ class MeanFieldPosterior:
         """Credible interval of ``mu_w`` (paper Eq. 10)."""
         return self.q_mu.interval(quantile_z)
 
-    @property
-    def converged(self) -> bool:
-        """Whether the last coordinate sweep moved below the tolerance."""
-        return len(self.elbo_trace) >= 2 and math.isclose(
-            self.elbo_trace[-1], self.elbo_trace[-2], rel_tol=0.0, abs_tol=1e-9
-        )
-
 
 def _expected_sq_residual(x: float, q_z: Gaussian, q_mu: Gaussian) -> float:
     """``E[(z*x - mu)^2]`` under independent ``q(z) q(mu)``."""

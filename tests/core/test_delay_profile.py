@@ -65,7 +65,7 @@ class TestLearning:
         p = DelayProfile(initial_span=8.0)
         p.update(np.array([100.0]))
         assert p.completeness(200.0) == 1.0 or not p.is_warm
-        assert p.max_delay_seen == 100.0
+        assert p._max_seen == 100.0
 
     def test_rejects_negative_delays(self):
         p = DelayProfile()
@@ -88,11 +88,11 @@ class TestLearning:
         no max-seen update, no span growth."""
         p = DelayProfile(min_weight=10.0, initial_span=8.0)
         p.update(np.full(20, 2.0))
-        before = (p.weight, float(p._counts.sum()), p.max_delay_seen, p._span)
+        before = (p.weight, float(p._counts.sum()), p._max_seen, p._span)
         with pytest.raises(ValueError):
             # 50.0 would have grown the span had validation come second.
             p.update(np.array([-1.0, 50.0]))
-        after = (p.weight, float(p._counts.sum()), p.max_delay_seen, p._span)
+        after = (p.weight, float(p._counts.sum()), p._max_seen, p._span)
         assert after == before
 
     @pytest.mark.parametrize(
@@ -105,10 +105,10 @@ class TestLearning:
         up front and leave the profile exactly as it was."""
         p = DelayProfile(min_weight=10.0, initial_span=8.0)
         p.update(np.full(20, 2.0))
-        before = (p.weight, p._counts.tolist(), p.max_delay_seen, p._span)
+        before = (p.weight, p._counts.tolist(), p._max_seen, p._span)
         with pytest.raises(ValueError, match="finite"):
             p.update(np.array(batch))
-        assert (p.weight, p._counts.tolist(), p.max_delay_seen, p._span) == before
+        assert (p.weight, p._counts.tolist(), p._max_seen, p._span) == before
 
     def test_cdf_denominator_equals_weight(self):
         """The invariant the mixed-sign leak broke: every delay the
@@ -245,7 +245,7 @@ def test_bincount_update_equals_histogram(num_bins, initial_span, batches, decay
         histogram_update(ref, delays)
         assert fast._span == ref._span
         np.testing.assert_array_equal(fast._counts, ref._counts)
-        assert (fast.weight, fast.max_delay_seen) == (ref.weight, ref.max_delay_seen)
+        assert (fast.weight, fast._max_seen) == (ref.weight, ref._max_seen)
         if decay_between:
             fast.decay_step()
             ref.decay_step()

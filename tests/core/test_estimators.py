@@ -90,22 +90,22 @@ class TestAEMASpecifics:
         est = AEMAEstimator()
         rng = np.random.default_rng(7)
         feed(est, rng, 10.0, n=300)
-        calm_alpha = est.current_alpha
+        calm_alpha = est._alpha
         for _ in range(10):
             est.observe(25.0)
-        assert est.current_alpha > calm_alpha
+        assert est._alpha > calm_alpha
 
     def test_adaptive_rate_falls_when_stable(self):
         est = AEMAEstimator()
         rng = np.random.default_rng(8)
         feed(est, rng, 10.0, n=500)
-        assert est.current_alpha < 0.2
+        assert est._alpha < 0.2
 
     def test_confidence_weight_inverse_of_alpha(self):
         est = AEMAEstimator(max_prior_weight=100.0)
         feed(est, np.random.default_rng(9), 10.0, n=300)
         assert est.confidence_weight == pytest.approx(
-            min(1.0 / est.current_alpha, 100.0)
+            min(1.0 / est._alpha, 100.0)
         )
 
     def test_validation(self):

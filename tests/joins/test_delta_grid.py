@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.joins.aggregator import DeltaAppendError, DeltaGrid
+from repro.joins.aggregator import DeltaGrid
 from repro.joins.arrays import BatchArrays
 
 NUM_KEYS = 6
@@ -142,25 +142,41 @@ class TestGeometry:
 
 
 class TestAppendContract:
-    def test_clock_regression_raises_and_leaves_grid_untouched(self):
+    def test_clock_regression_refolds_only_its_window(self):
+        """A chunk whose clocks start before a window's last appended
+        clock clears that window's prefix state; its next read refolds
+        it from the window's segments, and windows the chunk does not
+        regress keep their folded state."""
         grid = DeltaGrid(4, 50.0)
-        grid.delta_append(
-            np.array([10.0, 20.0]), np.array([5.0, 6.0]),
-            np.array([0, 1], dtype=np.int64), np.array([1.0, 2.0]),
-            np.array([True, False]),
+        first = (
+            np.array([10.0, 20.0, 60.0]), np.array([5.0, 6.0, 7.0]),
+            np.array([0, 1, 0], dtype=np.int64), np.array([1.0, 2.0, 3.0]),
+            np.array([True, False, False]),
         )
-        before = grid.query(0, None)
-        with pytest.raises(DeltaAppendError):
-            # First tuple regresses window 0's clock; second opens a new
-            # window — neither must be applied.
-            grid.delta_append(
-                np.array([15.0, 60.0]), np.array([1.0, 9.0]),
-                np.array([2, 3], dtype=np.int64), np.array([3.0, 4.0]),
-                np.array([True, True]),
-            )
-        assert grid.query(0, None) == before
-        assert grid.query(1, None).n_r == 0
-        assert len(grid) == 1
+        # First tuple regresses window 0's clock; second lands in window 1
+        # at a later clock; third opens window 2.
+        second = (
+            np.array([15.0, 70.0, 120.0]), np.array([1.0, 9.0, 2.0]),
+            np.array([1, 0, 3], dtype=np.int64), np.array([3.0, 4.0, 5.0]),
+            np.array([True, True, True]),
+        )
+        grid.delta_append(*first)
+        grid.query(0, None)
+        grid.query(1, None)
+        grid.delta_append(*second)
+        assert grid._windows[0].n == 0 and grid._windows[0].pending == 2
+        assert grid._windows[1].n == 1 and grid._windows[1].pending == 1
+        ref = reference_of([first, second])
+        for widx in range(3):
+            for avail in (None, 1.5, 5.0, 6.5, 8.0):
+                want = ref.aggregate(
+                    widx * 50.0, (widx + 1) * 50.0, available_by=avail, clock="arrival"
+                )
+                got = grid.query(widx, avail)
+                assert (got.n_r, got.n_s, got.matches, got.sum_r) == (
+                    want.n_r, want.n_s, want.matches, want.sum_r,
+                ), (widx, avail)
+        assert grid._windows[0].last == 6.0 and len(grid) == 3
 
     def test_equal_clock_appends_are_fine(self):
         grid = DeltaGrid(2, 50.0)
@@ -267,8 +283,8 @@ class TestNonFiniteRejected:
     def test_rejected_before_any_window_changes(self, column, position, value):
         """A NaN clock used to be accepted and switch the window's
         monotonicity guard off for good (``first < nan`` is false); an
-        infinite one made every later append to the window raise
-        ``DeltaAppendError``; a NaN or infinite event escaped as a raw
+        infinite one made every later append to the window out of
+        order; a NaN or infinite event escaped as a raw
         ``math.floor`` ``ValueError``/``OverflowError``."""
         grid = DeltaGrid(4, 10.0)
         twin = DeltaGrid(4, 10.0)
@@ -283,8 +299,7 @@ class TestNonFiniteRejected:
         # grid that never saw the bad chunk, regressions included.
         for g in (grid, twin):
             g.delta_append(*tiny_chunk([3.0, 5.0], [3.0, 5.0]))
-            with pytest.raises(DeltaAppendError):
-                g.delta_append(*tiny_chunk([6.0], [4.0]))
+            g.delta_append(*tiny_chunk([6.0], [4.0]))
         assert answers(grid) == answers(twin)
 
 
@@ -331,37 +346,39 @@ class TestFoldOnRead:
                         ), (seed, c, widx, by)
                         assert got.sum_r == pytest.approx(want.sum_r, rel=1e-9, abs=1e-9)
 
-    def test_regression_against_pending_only_window_leaves_grid_unchanged(self):
-        """Monotonicity is checked against the last *appended* clock:
-        a window that holds only pending segments still refuses a chunk
-        that starts before them, and keeps nothing of it."""
+    def test_regression_against_pending_only_window_refolds_it(self):
+        """Clock order is checked against the last *appended* clock: a
+        window that holds only pending segments still refolds when a
+        chunk starts before them, and answers like a grid that received
+        the same tuples in one append."""
         grid = DeltaGrid(4, 10.0)
-        twin = DeltaGrid(4, 10.0)
-        for g in (grid, twin):
-            g.delta_append(*tiny_chunk([1.0, 2.0], [5.0, 6.0], key=[1, 1]))
-            g.delta_append(*tiny_chunk([3.0], [7.0], key=[1]))
+        chunks = [
+            tiny_chunk([1.0, 2.0], [5.0, 6.0], key=[1, 1]),
+            tiny_chunk([3.0], [7.0], key=[1]),
+            # Window 0's segment starts at clock 6.5 < 7.0.
+            tiny_chunk([4.0, 11.0], [6.5, 8.0], key=[2, 3]),
+        ]
+        for chunk in chunks[:2]:
+            grid.delta_append(*chunk)
         assert grid._windows[0].n == 0  # nothing folded yet
-        with pytest.raises(DeltaAppendError):
-            # Window 0's segment starts at clock 6.5 < 7.0; window 1's
-            # segment alone would be fine, but neither may land.
-            grid.delta_append(*tiny_chunk([4.0, 11.0], [6.5, 8.0], key=[2, 3]))
-        assert grid.appends == twin.appends == 2
-        assert len(grid) == len(twin) == 1
-        assert len(grid._windows[0].pending) == 2
-        assert answers(grid, cuts=(None, 5.0, 6.0, 6.5, 7.0)) == answers(
-            twin, cuts=(None, 5.0, 6.0, 6.5, 7.0)
-        )
+        grid.delta_append(*chunks[2])
+        assert grid.appends == 3 and len(grid) == 2
+        assert grid._windows[0].pending == 3 and grid._windows[0].last == 7.0
+        whole = DeltaGrid(4, 10.0)
+        append_chunk(whole, tuple(np.concatenate(c) for c in zip(*chunks)))
+        cuts = (None, 5.0, 6.0, 6.5, 7.0, 8.0)
+        assert answers(grid, cuts=cuts) == answers(whole, cuts=cuts)
 
     def test_fold_is_deferred_to_the_first_read(self):
         grid = DeltaGrid(4, 10.0)
         for t in (1.0, 2.0, 3.0):
             grid.delta_append(*tiny_chunk([t], [t]))
         win = grid._windows[0]
-        assert (win.n, len(win.pending)) == (0, 3)
+        assert (win.n, win.pending) == (0, 3)
         assert grid.query(0, 2.0).n_r + grid.query(0, 2.0).n_s == 2
-        assert (win.n, len(win.pending)) == (3, 0)
+        assert (win.n, win.pending) == (3, 0)
         grid.delta_append(*tiny_chunk([4.0], [4.0]))
-        assert grid.nbytes > 0 and (win.n, win.pending) == (4, [])
+        assert grid.nbytes > 0 and (win.n, win.pending) == (4, 0)
         grid.delta_append(*tiny_chunk([5.0], [5.0]))
         assert grid.drop_below(1) == 1 and len(grid) == 0
 
@@ -388,3 +405,96 @@ class TestMisalignedColumnsRejected:
         for g in (grid, twin):
             g.delta_append(*tiny_chunk([3.0, 5.0], [3.0, 5.0]))
         assert answers(grid) == answers(twin)
+
+
+def held_back_chunks(rng, n_chunks):
+    """Arrival-monotone chunks with every fourth one delivered a chunk
+    late, so some windows receive a segment out of clock order."""
+    chunks = random_chunks(rng, n_chunks, tick=25.0, spread=120.0)
+    for i in range(0, n_chunks - 1, 4):
+        chunks[i], chunks[i + 1] = chunks[i + 1], chunks[i]
+    return chunks
+
+
+def pending_state(grid):
+    return {idx: (w.n, w.pending) for idx, w in grid._windows.items()}
+
+
+class TestSegmentReads:
+    """Eviction, scans and snapshot columns read the segments, folded
+    or pending, and never fold."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_evict_counts_like_a_rebuild_filter(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = DeltaGrid(NUM_KEYS, LENGTH)
+        events = []
+        evicted = 0
+        horizon = -np.inf
+        for chunk in held_back_chunks(rng, 24):
+            append_chunk(grid, chunk)
+            events.append(chunk[0])
+            if rng.random() < 0.5:
+                grid.query(int(rng.integers(0, 8)), None)
+            horizon = max(horizon, float(rng.uniform(-50.0, 700.0)))
+            before = pending_state(grid)
+            evicted += grid.evict(horizon)
+            assert evicted == int((np.concatenate(events) < horizon).sum())
+            after = pending_state(grid)
+            assert all(after[idx] == before[idx] for idx in after)
+            floor = int(np.floor(horizon / LENGTH))
+            assert all(idx >= floor - 1 for idx in grid._windows)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scan_matches_batch_aggregate(self, seed):
+        rng = np.random.default_rng(seed)
+        chunks = held_back_chunks(rng, 16)
+        grid = DeltaGrid(NUM_KEYS, LENGTH)
+        for chunk in chunks:
+            append_chunk(grid, chunk)
+        ref = reference_of(chunks)
+        before = pending_state(grid)
+        for _ in range(40):
+            lo = float(rng.uniform(-50.0, 500.0))
+            hi = lo + float(rng.uniform(1.0, 250.0))
+            by = [None, float(rng.uniform(0.0, 450.0))][int(rng.integers(0, 2))]
+            want = ref.aggregate(lo, hi, available_by=by, clock="arrival")
+            got = grid.scan(lo, hi, by)
+            assert (got.n_r, got.n_s, got.matches) == (
+                want.n_r, want.n_s, want.matches,
+            ), (lo, hi, by)
+            assert got.sum_r == pytest.approx(want.sum_r, rel=1e-9, abs=1e-9)
+        assert pending_state(grid) == before
+
+    def test_columns_are_event_sorted_ties_in_append_order(self):
+        rng = np.random.default_rng(3)
+        chunks = []
+        for c in range(12):
+            n = int(rng.integers(1, 40))
+            event = np.floor(rng.uniform(max(0.0, c * 25.0 - 100.0), c * 25.0 + 50.0, n))
+            arrival = np.sort(c * 25.0 + rng.uniform(0.0, 25.0, n))
+            chunks.append(
+                (event, arrival, rng.integers(0, NUM_KEYS, n).astype(np.int64),
+                 rng.uniform(size=n), rng.random(n) < 0.5)
+            )
+        grid = DeltaGrid(NUM_KEYS, LENGTH)
+        for chunk in chunks:
+            append_chunk(grid, chunk)
+        grid.query(1, None)
+        before = pending_state(grid)
+        # Each chunk stably sorted by event, in append order, then one
+        # stable event sort: equal events keep their ingest order.
+        blocks = []
+        for chunk in chunks:
+            block = np.vstack([col.astype(float) for col in chunk])
+            blocks.append(block[:, np.argsort(chunk[0], kind="stable")])
+        rows = np.hstack(blocks)
+        rows = rows[:, np.argsort(rows[0], kind="stable")]
+        for horizon in (-1.0, 130.0, 205.0):
+            cols = grid.columns(horizon)
+            keep = rows[0] >= horizon
+            for got, want in zip(cols, rows):
+                np.testing.assert_array_equal(got.astype(float), want[keep])
+        assert pending_state(grid) == before
+        empty = DeltaGrid(NUM_KEYS, LENGTH).columns(0.0)
+        assert [c.dtype for c in empty] == [float, float, np.int64, float, bool]

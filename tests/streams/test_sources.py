@@ -50,10 +50,10 @@ class TestReplaySource:
 
     def test_peek_and_exhaustion(self):
         src = self._source()
-        assert src.peek_next_arrival() == 0.0
+        assert [t.arrival_time for t in src.poll(0.0)] == [0.0]
         src.drain()
         assert src.exhausted
-        assert src.peek_next_arrival() is None
+        assert src.poll(float("inf")) == []
 
     def test_iteration_covers_everything(self):
         src = self._source()

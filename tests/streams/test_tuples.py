@@ -62,7 +62,7 @@ class TestStreamBatch:
         early_late = make_tuple(event=1.0, arrival=10.0, seq=0)
         late_early = make_tuple(event=2.0, arrival=3.0, seq=1)
         batch = StreamBatch([early_late, late_early])
-        assert batch.in_event_order() == [early_late, late_early]
+        assert sorted(batch, key=by_event) == [early_late, late_early]
         assert batch.in_arrival_order() == [late_early, early_late]
 
     def test_side_filter(self):
@@ -91,7 +91,6 @@ class TestStreamBatch:
 
     def test_empty_batch_orderings_and_sides(self):
         empty = StreamBatch([])
-        assert empty.in_event_order() == []
         assert empty.in_arrival_order() == []
         assert empty.side(Side.R) == []
 
@@ -130,7 +129,7 @@ class TestColumnarStreamBatch:
             ]
         )
         assert list(lazy) == list(eager)
-        assert lazy.in_event_order() == eager.in_event_order()
+        assert lazy.in_arrival_order() == eager.in_arrival_order()
         assert lazy.max_delay() == eager.max_delay()
 
     def test_side_flags_array(self):
@@ -182,7 +181,7 @@ def test_orderings_are_total_and_stable(events, delays):
             for i, (e, d) in enumerate(zip(events[:n], delays[:n]))
         ]
     )
-    ev = batch.in_event_order()
+    ev = sorted(batch, key=by_event)
     ar = batch.in_arrival_order()
     assert all(by_event(a) <= by_event(b) for a, b in zip(ev, ev[1:]))
     assert all(by_arrival(a) <= by_arrival(b) for a, b in zip(ar, ar[1:]))

@@ -9,15 +9,19 @@ of percent; the call count of a seeded run repeats exactly, so a perf change
 can state its counted effect next to the timed one::
 
     python tools/callcount.py --workload serve_mixed --seed 1
+    python tools/callcount.py            # every entry of the ceiling table
 
 The benchmark's own probes (answer recording, ground-truth tallies) are not
 installed, so the count is the program's work alone.  When
 ``callcount_ceilings.json`` (next to this script) holds a ceiling for the
 workload and seed, the script exits 1 if calls per tuple exceed it: a
-deterministic work gate that host noise cannot trip.  numpy's Python-level
-wrappers count as calls too, so the file records the numpy version its
-ceilings were measured with; under another version an exceeded ceiling is
-reported as a warning and the script exits 0.  The workload is reached
+deterministic work gate that host noise cannot trip.  Without
+``--workload`` it counts every ``workload/seed=N`` entry of that table, each
+in its own process (so no entry's count depends on what an earlier one
+imported or cached), and exits 1 if any exceeds its ceiling.  numpy's
+Python-level wrappers count as calls too, so the file records the numpy
+version its ceilings were measured with; under another version an exceeded
+ceiling is reported as a warning and the script exits 0.  The workload is reached
 through ``perfbench/workloads.py``'s ``FACTORIES``, imported from its
 directory the way ``perfbench/run.py`` imports it.  Run from anywhere; the
 script locates ``src/`` and ``perfbench/`` next to itself.
@@ -29,6 +33,7 @@ import argparse
 import cProfile
 import json
 import pstats
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,12 +66,21 @@ def count_calls(workload_name: str, seed: int) -> tuple[int, int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", help="workload to count (default: every ceiling entry)"
+    )
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    recorded = json.loads(CEILINGS.read_text())
+    if args.workload is None:
+        failed = 0
+        for entry in recorded["ceilings"]:
+            workload, seed = entry.split("/seed=")
+            cmd = [sys.executable, __file__, "--workload", workload, "--seed", seed]
+            failed += subprocess.run(cmd).returncode != 0
+        return 1 if failed else 0
     calls, tuples = count_calls(args.workload, args.seed)
     per_tuple = round(calls / tuples, 2) if tuples else None
-    recorded = json.loads(CEILINGS.read_text())
     ceiling = recorded["ceilings"].get(f"{args.workload}/seed={args.seed}")
     print(
         json.dumps(

@@ -20,9 +20,9 @@ extra arguments) and again with ``--workers 2``:
 fig6 is the end-to-end figure; chaos gates error under each fault intensity
 plus guard and fault accounting; serve gates QPS, latency, admission/shed
 and autoscaler activity; every serve_hotpath row asserts ``answers_equal``
-and its run, compaction and eviction counts gate; slo gates budgets, burn
-peaks and alert counts and writes the OpenMetrics and audit exports; fig7-11
-are the remaining paper figures.
+and its delta-append, held-window and eviction counts gate; slo gates
+budgets, burn peaks and alert counts and writes the OpenMetrics and audit
+exports; fig7-11 are the remaining paper figures.
 
 The gate stops at the first failure, names the target and exits 1::
 
