@@ -19,6 +19,7 @@ from benchmarks.conftest import bench_scale, emit
 from repro.bench.reporting import format_table
 from repro.bench.workloads import micro_spec, q1_spec, q3_spec
 from repro.core.estimators.aema import AEMAEstimator
+from repro.core.estimators.mlp_backend import MLPEstimator
 from repro.core.pecj import PECJoin
 from repro.joins.runner import run_operator
 
@@ -70,12 +71,20 @@ def ablation_adaptive_vs_fixed_ema(scale: float) -> list[dict]:
     return rows
 
 
+class _ShapeBlindMLP(MLPEstimator):
+    """The MLP backend with the delay-shape ratios of its context held at
+    the neutral 1.0; it still reads the assumed completeness."""
+
+    def set_context(self, context):
+        super().set_context((context[0], 1.0, 1.0, 1.0))
+
+
 def ablation_delay_context(scale: float) -> list[dict]:
     spec = q3_spec().scaled(scale)
     arrays = spec.build()
     rows = []
-    for label, flag in (("with delay context", True), ("without", False)):
-        op = PECJoin(spec.agg, backend="mlp", use_delay_context=flag)
+    for label, factory in (("with delay context", None), ("without", _ShapeBlindMLP)):
+        op = PECJoin(spec.agg, backend="mlp", estimator_factory=factory)
         res = _run(spec, op, arrays=arrays)
         rows.append({"variant": label, "error": res.mean_error})
     return rows

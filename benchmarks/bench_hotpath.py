@@ -36,11 +36,11 @@ replacement and asserting equivalence before timing:
   must not perturb behaviour).  The overhead ratio is gated <= 1.03 in
   full mode.
 
-Timing is best-of-N, except in the skew, executor, serve_hotpath and
-serve_telemetry sections, which take the median ratio of interleaved
-pairs (alternating which side runs first) and report the ratios' IQR;
-a JSON artifact is written for tracking (see DESIGN.md for how to
-read it).
+Every section times interleaved pairs (:func:`interleaved_pairs`,
+alternating which side runs first), reports each side's median seconds
+and gates on the median of the per-pair ratios, with the ratios' IQR
+beside it; a JSON artifact is written for tracking (see DESIGN.md for
+how to read it).
 
 Usage::
 
@@ -134,16 +134,27 @@ def incremental_pass(arrays, starts, length):
     return out
 
 
-def best_of(fn, repeats: int) -> float:
-    timings = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        timings.append(time.perf_counter() - t0)
-    return min(timings)
+def interleaved_pairs(slow, fast, pairs: int) -> tuple[float, float, float, float]:
+    """Time ``pairs`` adjacent runs of ``slow`` and ``fast``.
+
+    Both halves of a pair see the same machine load, and the side that
+    runs first alternates, so load from anything sharing the CPUs moves
+    single pairs rather than the verdict.  Returns the median seconds of
+    each side, the median of the per-pair ``slow / fast`` ratios and the
+    ratios' interquartile range.
+    """
+    slow_s, fast_s = [], []
+    for i in range(pairs):
+        for is_slow in (i % 2 == 1, i % 2 == 0):
+            t0 = time.perf_counter()
+            (slow if is_slow else fast)()
+            (slow_s if is_slow else fast_s).append(time.perf_counter() - t0)
+    ratios = [a / b for a, b in zip(slow_s, fast_s)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return statistics.median(slow_s), statistics.median(fast_s), statistics.median(ratios), q3 - q1
 
 
-def run_workload(label, duration_ms, num_keys, length, repeats):
+def run_workload(label, duration_ms, num_keys, length, pairs):
     arrays = build_arrays(duration_ms, num_keys)
     starts = window_starts(duration_ms, length)
     n = len(arrays.event)
@@ -157,8 +168,11 @@ def run_workload(label, duration_ms, num_keys, length, repeats):
         )
         assert abs(a.sum_r - b.sum_r) <= 1e-9 * max(1.0, abs(a.sum_r))
 
-    t_rescan = best_of(lambda: rescan_pass(arrays, starts, length), repeats)
-    t_incr = best_of(lambda: incremental_pass(arrays, starts, length), repeats)
+    t_rescan, t_incr, speedup, iqr = interleaved_pairs(
+        lambda: rescan_pass(arrays, starts, length),
+        lambda: incremental_pass(arrays, starts, length),
+        pairs,
+    )
     row = {
         "workload": label,
         "tuples": n,
@@ -166,20 +180,22 @@ def run_workload(label, duration_ms, num_keys, length, repeats):
         "num_keys": num_keys,
         "window_length_ms": length,
         "queries": 2 * len(starts),
+        "pairs": pairs,
         "rescan": {"seconds": t_rescan, "tuples_per_s": n / t_rescan},
         "incremental": {"seconds": t_incr, "tuples_per_s": n / t_incr},
-        "speedup": t_rescan / t_incr,
+        "speedup": speedup,
+        "speedup_iqr": iqr,
     }
     print(
         f"{label}: n={n} windows={len(starts)} num_keys={num_keys} | "
         f"rescan {t_rescan * 1e3:.2f} ms ({n / t_rescan / 1e6:.2f} Mtuples/s) | "
         f"incremental {t_incr * 1e3:.2f} ms ({n / t_incr / 1e6:.2f} Mtuples/s) | "
-        f"speedup {row['speedup']:.2f}x"
+        f"speedup {speedup:.2f}x (median of {pairs} pairs, IQR {iqr:.2f})"
     )
     return row
 
 
-def ingest_workload(label, duration_ms, num_keys, repeats):
+def ingest_workload(label, duration_ms, num_keys, pairs):
     """Object-path vs columnar stream generation, same seed and columns."""
 
     def object_path():
@@ -204,25 +220,27 @@ def ingest_workload(label, duration_ms, num_keys, repeats):
         )
 
     n = len(a.event)
-    t_obj = best_of(object_path, repeats)
-    t_col = best_of(columnar_path, repeats)
+    t_obj, t_col, speedup, iqr = interleaved_pairs(object_path, columnar_path, pairs)
     row = {
         "workload": label,
         "tuples": n,
         "num_keys": num_keys,
+        "pairs": pairs,
         "object": {"seconds": t_obj, "tuples_per_s": n / t_obj},
         "columnar": {"seconds": t_col, "tuples_per_s": n / t_col},
-        "speedup": t_obj / t_col,
+        "speedup": speedup,
+        "speedup_iqr": iqr,
     }
     print(
         f"ingest/{label}: n={n} | object {t_obj * 1e3:.2f} ms "
         f"({n / t_obj / 1e6:.2f} Mtuples/s) | columnar {t_col * 1e3:.2f} ms "
-        f"({n / t_col / 1e6:.2f} Mtuples/s) | speedup {row['speedup']:.2f}x"
+        f"({n / t_col / 1e6:.2f} Mtuples/s) | speedup {speedup:.2f}x "
+        f"(median of {pairs} pairs, IQR {iqr:.2f})"
     )
     return row
 
 
-def estimator_workload(duration_ms, num_keys, repeats):
+def estimator_workload(duration_ms, num_keys, pairs):
     """Fused multi-bucket estimator path vs the per-bucket reference.
 
     Runs the full PECJ operator both ways over one disordered batch with
@@ -254,21 +272,25 @@ def estimator_workload(duration_ms, num_keys, repeats):
     assert sweep(PECJoin) == sweep(PerBucketPECJoin), (
         "estimator: fused path diverged from per-bucket reference"
     )
-    t_ref = best_of(lambda: sweep(PerBucketPECJoin), repeats)
-    t_fused = best_of(lambda: sweep(PECJoin), repeats)
+    t_ref, t_fused, speedup, iqr = interleaved_pairs(
+        lambda: sweep(PerBucketPECJoin), lambda: sweep(PECJoin), pairs
+    )
     n = len(arrays.event)
     row = {
         "workload": f"pecj_20bpw_{int(duration_ms)}ms",
         "tuples": n,
         "buckets_per_window": 20,
         "records_identical": True,
+        "pairs": pairs,
         "reference": {"seconds": t_ref, "tuples_per_s": n / t_ref},
         "fused": {"seconds": t_fused, "tuples_per_s": n / t_fused},
-        "speedup": t_ref / t_fused,
+        "speedup": speedup,
+        "speedup_iqr": iqr,
     }
     print(
         f"estimator/pecj: n={n} | reference {t_ref * 1e3:.2f} ms | "
-        f"fused {t_fused * 1e3:.2f} ms | speedup {row['speedup']:.2f}x"
+        f"fused {t_fused * 1e3:.2f} ms | speedup {speedup:.2f}x "
+        f"(median of {pairs} pairs, IQR {iqr:.2f})"
     )
     return row
 
@@ -336,15 +358,9 @@ def skew_workload(num_keys, pairs, smoke):
             "skew: hot/cold accounting identity violated"
         )
 
-    grouped_s, part_s = [], []
-    for i in range(pairs):
-        for grouped in (i % 2 == 1, i % 2 == 0):
-            t0 = time.perf_counter()
-            grouped_pass() if grouped else partitioned_pass()
-            (grouped_s if grouped else part_s).append(time.perf_counter() - t0)
-    ratios = [g / p for g, p in zip(grouped_s, part_s)]
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    t_grouped, t_part = statistics.median(grouped_s), statistics.median(part_s)
+    t_grouped, t_part, speedup, iqr = interleaved_pairs(
+        grouped_pass, partitioned_pass, pairs
+    )
     n = len(skewed.event)
     row = {
         "workload": f"skew1.4_{num_keys}keys_{int(duration)}ms",
@@ -355,13 +371,13 @@ def skew_workload(num_keys, pairs, smoke):
         "pairs": pairs,
         "grouped": {"seconds": t_grouped, "tuples_per_s": n / t_grouped},
         "partitioned": {"seconds": t_part, "tuples_per_s": n / t_part},
-        "speedup": statistics.median(ratios),
-        "speedup_iqr": q3 - q1,
+        "speedup": speedup,
+        "speedup_iqr": iqr,
     }
     print(
         f"skew/partitioned: n={n} keys={num_keys} hot={len(op.hot_state)} | "
         f"grouped {t_grouped * 1e3:.2f} ms | partitioned {t_part * 1e3:.2f} ms | "
-        f"speedup {row['speedup']:.2f}x (median of {pairs} pairs, IQR {q3 - q1:.2f})"
+        f"speedup {speedup:.2f}x (median of {pairs} pairs, IQR {iqr:.2f})"
     )
     return row
 
@@ -370,11 +386,9 @@ def executor_workload(scale, workers, pairs):
     """Serial vs sharded fig6 sweep; rows must be byte-identical.
 
     The speedup is the median, over ``pairs`` interleaved serial/sharded
-    runs (alternating which goes first), of each pair's time ratio, with
-    the ratios' interquartile range beside it.  Both halves of a pair see
-    the same machine load, so load from anything sharing the CPUs moves
-    single pairs rather than the verdict; best-of-N minimums of each side
-    taken apart failed the break-even gate whenever the CPUs were shared.
+    runs, of each pair's time ratio, with the ratios' interquartile range
+    beside it; best-of-N minimums of each side taken apart failed the
+    break-even gate whenever the CPUs were shared.
     """
     serial_rows = fig6_end_to_end(scale=scale)
     parallel_rows = fig6_end_to_end(scale=scale, workers=workers)
@@ -382,14 +396,11 @@ def executor_workload(scale, workers, pairs):
         "executor: parallel fig6 rows diverged from serial"
     )
 
-    serial_s, parallel_s = [], []
-    for i in range(pairs):
-        for sharded in (i % 2 == 1, i % 2 == 0):
-            t0 = time.perf_counter()
-            fig6_end_to_end(scale=scale, workers=workers if sharded else None)
-            (parallel_s if sharded else serial_s).append(time.perf_counter() - t0)
-    ratios = [s / p for s, p in zip(serial_s, parallel_s)]
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    t_serial, t_parallel, speedup, iqr = interleaved_pairs(
+        lambda: fig6_end_to_end(scale=scale),
+        lambda: fig6_end_to_end(scale=scale, workers=workers),
+        pairs,
+    )
     row = {
         "figure": "fig6",
         "scale": scale,
@@ -397,15 +408,15 @@ def executor_workload(scale, workers, pairs):
         "cells": len(serial_rows),
         "rows_identical": True,
         "pairs": pairs,
-        "serial": {"seconds": statistics.median(serial_s)},
-        "parallel": {"seconds": statistics.median(parallel_s)},
-        "speedup": statistics.median(ratios),
-        "speedup_iqr": q3 - q1,
+        "serial": {"seconds": t_serial},
+        "parallel": {"seconds": t_parallel},
+        "speedup": speedup,
+        "speedup_iqr": iqr,
     }
     print(
-        f"executor/fig6 scale={scale}: serial {row['serial']['seconds']:.2f} s | "
-        f"{workers} workers {row['parallel']['seconds']:.2f} s | speedup "
-        f"{row['speedup']:.2f}x (median of {pairs} pairs, IQR {q3 - q1:.2f})"
+        f"executor/fig6 scale={scale}: serial {t_serial:.2f} s | "
+        f"{workers} workers {t_parallel:.2f} s | speedup "
+        f"{speedup:.2f}x (median of {pairs} pairs, IQR {iqr:.2f})"
     )
     return row
 
@@ -440,15 +451,11 @@ def serve_hotpath_workload(retention_ms, pairs):
     )
     assert inc_shard.evicted == ref_shard.evicted
 
-    full_s, runs_s = [], []
-    for i in range(pairs):
-        for full in (i % 2 == 1, i % 2 == 0):
-            t0 = time.perf_counter()
-            hotpath_drive(FullRebuildShard if full else ShardStore, retention_ms, chunks)
-            (full_s if full else runs_s).append(time.perf_counter() - t0)
-    ratios = [f / r for f, r in zip(full_s, runs_s)]
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    t_full, t_runs = statistics.median(full_s), statistics.median(runs_s)
+    t_full, t_runs, speedup, iqr = interleaved_pairs(
+        lambda: hotpath_drive(FullRebuildShard, retention_ms, chunks),
+        lambda: hotpath_drive(ShardStore, retention_ms, chunks),
+        pairs,
+    )
     row = {
         "retention_ms": retention_ms,
         "ticks": ticks,
@@ -459,13 +466,13 @@ def serve_hotpath_workload(retention_ms, pairs):
         "pairs": pairs,
         "full": {"seconds": t_full, "tuples_per_s": n / t_full},
         "incremental": {"seconds": t_runs, "tuples_per_s": n / t_runs},
-        "speedup": statistics.median(ratios),
-        "speedup_iqr": q3 - q1,
+        "speedup": speedup,
+        "speedup_iqr": iqr,
     }
     print(
         f"serve_hotpath/retention={retention_ms:g}ms: n={n} ticks={ticks} | "
         f"full {t_full * 1e3:.1f} ms | incremental {t_runs * 1e3:.1f} ms | "
-        f"speedup {row['speedup']:.2f}x (median of {pairs} pairs, IQR {q3 - q1:.2f})"
+        f"speedup {speedup:.2f}x (median of {pairs} pairs, IQR {iqr:.2f})"
     )
     return row
 
@@ -511,21 +518,11 @@ def serve_telemetry_workload(duration_ms, intensity, repeats):
 
     # The ratio under test is ~1% while run-to-run machine noise can be
     # 10%+, so neither best-of nor averaging either side independently
-    # can resolve it.  Instead time many short adjacent off/on pairs
-    # (both halves of a pair see the same machine load), alternating
-    # which half runs first so neither always runs second, and take the
-    # median of the per-pair ratios, which sheds load spikes that land
-    # inside a single run.
-    on_times, off_times = [], []
-    for i in range(repeats):
-        for enabled in (i % 2 == 1, i % 2 == 0):
-            t0 = time.perf_counter()
-            run(enabled)
-            (on_times if enabled else off_times).append(time.perf_counter() - t0)
-    ratios = [on / off for on, off in zip(on_times, off_times)]
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    overhead = statistics.median(ratios)
-    t_on, t_off = statistics.median(on_times), statistics.median(off_times)
+    # can resolve it; the median of many short adjacent off/on pairs
+    # sheds load spikes that land inside a single run.
+    t_on, t_off, overhead, iqr = interleaved_pairs(
+        lambda: run(True), lambda: run(False), repeats
+    )
     row = {
         "workload": f"serve_{int(duration_ms)}ms_i{intensity:g}",
         "duration_ms": duration_ms,
@@ -542,12 +539,12 @@ def serve_telemetry_workload(duration_ms, intensity, repeats):
         "enabled": {"seconds": t_on},
         "disabled": {"seconds": t_off},
         "overhead": overhead,
-        "overhead_iqr": q3 - q1,
+        "overhead_iqr": iqr,
     }
     print(
         f"serve_telemetry/{row['workload']}: enabled {t_on * 1e3:.1f} ms | "
-        f"disabled {t_off * 1e3:.1f} ms | overhead {row['overhead']:.3f}x "
-        f"(median of {repeats} pairs, IQR {q3 - q1:.3f})"
+        f"disabled {t_off * 1e3:.1f} ms | overhead {overhead:.3f}x "
+        f"(median of {repeats} pairs, IQR {iqr:.3f})"
     )
     return row
 
@@ -596,7 +593,13 @@ def main(argv=None) -> int:
         default=os.path.join(os.path.dirname(__file__), "..", "BENCH_hotpath.json"),
         help="path of the JSON artifact (default: repo root BENCH_hotpath.json)",
     )
-    parser.add_argument("--repeats", type=int, default=5, help="best-of-N timing")
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=5,
+        help="interleaved pairs per timed section (full mode times at least "
+        "5, serve_telemetry at least 20; smoke mode times 3)",
+    )
     parser.add_argument(
         "--workers",
         type=int,
@@ -621,23 +624,24 @@ def main(argv=None) -> int:
     except AttributeError:  # pragma: no cover - non-Linux
         cpu_count = os.cpu_count() or 1
 
+    pairs = 3 if args.smoke else max(args.repeats, 5)
     workloads = SMOKE_WORKLOADS if args.smoke else FULL_WORKLOADS
-    rows = [run_workload(*w, repeats=args.repeats) for w in workloads]
+    rows = [run_workload(*w, pairs=pairs) for w in workloads]
 
     ingest_rows = [
-        ingest_workload(label, duration_ms, num_keys, repeats=args.repeats)
+        ingest_workload(label, duration_ms, num_keys, pairs=pairs)
         for (label, duration_ms, num_keys, _) in workloads
     ]
 
     estimator_row = estimator_workload(
         duration_ms=200.0 if args.smoke else 1000.0,
         num_keys=2_000,
-        repeats=args.repeats,
+        pairs=pairs,
     )
 
     skew_row = skew_workload(
         num_keys=5_000 if args.smoke else 50_000,
-        pairs=3 if args.smoke else max(args.repeats, 5),
+        pairs=pairs,
         smoke=args.smoke,
     )
 
@@ -648,14 +652,12 @@ def main(argv=None) -> int:
     executor_row = executor_workload(
         scale=0.02 if args.smoke else 0.1,
         workers=exec_workers,
-        pairs=3 if args.smoke else max(args.repeats, 5),
+        pairs=pairs,
     )
 
     serve_retentions = SERVE_SMOKE_RETENTIONS if args.smoke else SERVE_FULL_RETENTIONS
     serve_rows = [
-        serve_hotpath_workload(
-            retention_ms, pairs=3 if args.smoke else max(args.repeats, 5)
-        )
+        serve_hotpath_workload(retention_ms, pairs=pairs)
         for retention_ms in serve_retentions
     ]
 

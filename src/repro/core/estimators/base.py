@@ -119,6 +119,12 @@ class PosteriorEstimator:
         "capture of unobserved data" in complex dynamics).  Analytical
         backends ignore it (default no-op), which is exactly why they
         degrade under non-stationary disorder (paper Section 6.5).
+
+        The operators build the context only when at least one of their
+        four estimators overrides this method; with the default no-op on
+        all four they skip the delay sample and the quantile ratios
+        altogether.  A backend that reads the context must therefore
+        override ``set_context`` itself.
         """
 
     def feedback(self, tag: Hashable, true_value: float) -> None:

@@ -68,7 +68,8 @@ class PECJCore:
     steps what it has seen of a window:
 
     * :meth:`_delay_context_at` — the delay-shape context from a delay
-      sample around the window;
+      sample around the window, built only while :attr:`_wants_context`
+      (an estimator overrides ``set_context``);
     * :meth:`_rate_estimates` — window counts from per-bucket
       ``(n_r, n_s, c)`` observations (Eq. 9 for analytical backends, the
       additive inverse-variance fill for learning backends);
@@ -90,6 +91,12 @@ class PECJCore:
         self.rate_s = make()
         self.sigma = make()
         self.alpha = make()
+        # Whether any estimator reads the delay-shape context: the base
+        # set_context discards it, so hosts build it only when this holds.
+        self._wants_context = any(
+            type(est).set_context is not PosteriorEstimator.set_context
+            for est in (self.rate_r, self.rate_s, self.sigma, self.alpha)
+        )
         self._matches_ema = 0.0
         self._m_ema: float | None = None
         # Relative variance of the learned completeness factor, tracked
@@ -108,7 +115,7 @@ class PECJCore:
         return self.profile.is_warm and self.rate_r.is_warm and self.rate_s.is_warm
 
     def _delay_context_at(
-        self, age: float, sample: Callable[[], np.ndarray] | None
+        self, age: float, sample: Callable[[], np.ndarray]
     ) -> tuple[float, float, float, float]:
         """Delay-shape reading of a window whose midpoint is ``age`` old.
 
@@ -116,12 +123,12 @@ class PECJCore:
         observed around the window) against the long-run profile at three
         truncated quantiles.  Ratios near 1 mean the window matches the
         long-run dynamics; deviations reveal the current regime.  ``sample``
-        is only called once the profile is warm; ``None`` skips the reading.
-        Only learning backends consume it.
+        is only called once the profile is warm.  Only learning backends
+        consume it, so hosts call this only while :attr:`_wants_context`.
         """
         c_assumed = self.profile.completeness(age)
         neutral = (c_assumed, 1.0, 1.0, 1.0)
-        if sample is None or not self.profile.is_warm or c_assumed <= 0.02:
+        if not self.profile.is_warm or c_assumed <= 0.02:
             return neutral
         delays = sample()
         if len(delays) < 10:
@@ -369,9 +376,6 @@ class PECJoin(StreamJoinOperator, PECJCore):
         learning_inference_ms: Per-emission inference latency charged when
             the backend is a neural network (the paper measures ~90ms for
             its MLP, Fig. 7a).  ``None`` picks 90 for ``mlp``, 0 otherwise.
-        use_delay_context: Feed the per-window delay-shape reading to
-            learning backends (ablation switch; analytical backends
-            ignore it either way).
         origin: Event-time offset of the window grid this operator
             serves.  Tumbling joins leave it at 0; the sliding-window
             adapter runs one PECJ instance per slide phase, each with its
@@ -379,6 +383,8 @@ class PECJoin(StreamJoinOperator, PECJCore):
         estimator_factory: Override backend construction (ablations).
         seed: Seed forwarded to learned backends.
 
+    The per-window delay-shape context is built only for backends whose
+    estimators read it (``mlp``); ``aema`` and ``svi`` skip it.
     Per-bucket counts come from one ``searchsorted`` + cumulative-sum
     sweep per drain and each finalization batch reaches the estimators in
     one :meth:`~repro.core.estimators.base.PosteriorEstimator.observe_many`
@@ -397,7 +403,6 @@ class PECJoin(StreamJoinOperator, PECJCore):
         min_completeness: float = 0.05,
         finalize_quantile: float = 0.995,
         learning_inference_ms: float | None = None,
-        use_delay_context: bool = True,
         origin: float = 0.0,
         estimator_factory: Callable[[], PosteriorEstimator] | None = None,
         seed: int = 0,
@@ -407,7 +412,6 @@ class PECJoin(StreamJoinOperator, PECJCore):
         if buckets_per_window < 1:
             raise ValueError("buckets_per_window must be >= 1")
         self.backend = backend
-        self.use_delay_context = use_delay_context
         self.origin = origin
         self.buckets_per_window = buckets_per_window
         self.min_completeness = min_completeness
@@ -433,9 +437,13 @@ class PECJoin(StreamJoinOperator, PECJCore):
         self._bucket_len = window_length / self.buckets_per_window
         self._reset_core(omega, self._factory)
         # Delay-ingest cursor over completion-ordered tuples (the order is
-        # cached on the batch per completion version).
-        self._comp_order = arrays.completion_order()
-        self._comp_sorted = arrays.completion[self._comp_order]
+        # cached on the batch per completion version), with their clamped
+        # delays computed once: each drain absorbs a slice.
+        order = self._comp_order = arrays.completion_order()
+        self._comp_sorted = arrays.completion[order]
+        delays = arrays.arrival[order]
+        delays -= arrays.event[order]
+        self._comp_delays = np.maximum(delays, 0.0, out=delays)
         self._ingest_cursor = 0
         # Finalization cursors (bucket / window indices on the event axis).
         if len(arrays):
@@ -451,9 +459,7 @@ class PECJoin(StreamJoinOperator, PECJCore):
         hi = int(np.searchsorted(self._comp_sorted, now, side="right"))
         if hi <= self._ingest_cursor:
             return
-        idx = self._comp_order[self._ingest_cursor : hi]
-        delays = arrays.arrival[idx] - arrays.event[idx]
-        self.profile.update(np.maximum(delays, 0.0))
+        self.profile.update(self._comp_delays[self._ingest_cursor : hi])
         self._ingest_cursor = hi
 
     def _bucket_counts_many(
@@ -541,8 +547,7 @@ class PECJoin(StreamJoinOperator, PECJCore):
             avail = arrays.completion[sl] <= now
             return (arrays.arrival[sl] - arrays.event[sl])[avail]
 
-        age = now - 0.5 * (window.start + window.end)
-        return self._delay_context_at(age, sample if self.use_delay_context else None)
+        return self._delay_context_at(now - 0.5 * (window.start + window.end), sample)
 
     def _window_bucket_sweep(
         self, arrays: BatchArrays, window: Window, now: float
@@ -589,7 +594,8 @@ class PECJoin(StreamJoinOperator, PECJCore):
             return observed.value(self.agg), extra
         obs.counter(f"pecj.{self.backend}.compensated_windows").inc()
 
-        self._set_context(self._delay_context(arrays, window, now))
+        if self._wants_context:
+            self._set_context(self._delay_context(arrays, window, now))
         widx = int(round((window.start - self.origin) / self._wlen))
         n_rs, n_ss, cs = self._window_bucket_sweep(arrays, window, now)
         n_hat_r, n_hat_s, obs_r, obs_s = self._rate_estimates(

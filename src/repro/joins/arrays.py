@@ -99,6 +99,29 @@ def check_aligned(event, arrival, key, payload, is_r) -> None:
         )
 
 
+#: Block length of :func:`strictly_increasing`'s scan: its temporaries
+#: stay far below a batch column's size.
+_CHECK_BLOCK = 8192
+
+
+def strictly_increasing(values: np.ndarray, order: np.ndarray | None = None) -> bool:
+    """Whether ``values[order]`` (``values`` itself when ``order`` is None)
+    is strictly increasing.
+
+    A strictly increasing column has exactly one sort order, so any
+    argsort that yields it equals the stable one.  NaN compares false and
+    so fails the test.  The scan runs block by block and allocates no
+    full-size temporary.
+    """
+    n = len(values) if order is None else len(order)
+    for lo in range(0, n - 1, _CHECK_BLOCK):
+        hi = min(lo + _CHECK_BLOCK + 1, n)
+        block = values[lo:hi] if order is None else values[order[lo:hi]]
+        if not (block[1:] > block[:-1]).all():
+            return False
+    return True
+
+
 #: Widest key domain :func:`aggregate_of` folds into dense per-key tables;
 #: above it the tables cover only the keys present.  Every key domain the
 #: datasets, benchmarks and baselines use is far below it.
@@ -263,14 +286,27 @@ class BatchArrays:
 
     def arrival_order(self) -> np.ndarray:
         """Stable argsort of arrival times (computed once; arrival is
-        immutable after construction)."""
+        immutable after construction).
+
+        numpy's default argsort is kept when the arrivals it orders are
+        strictly increasing (:func:`strictly_increasing`); repeated
+        arrival times take the stable sort.
+        """
         if self._arrival_order is None:
-            self._arrival_order = np.argsort(self.arrival, kind="stable")
+            order = np.argsort(self.arrival)
+            if not strictly_increasing(self.arrival, order):
+                order = np.argsort(self.arrival, kind="stable")
+            self._arrival_order = order
         return self._arrival_order
 
     def completion_order(self) -> np.ndarray:
         """Stable argsort of completion times (cached per completion
-        version)."""
+        version).
+
+        ``apply_pipeline_costs`` presets it to :meth:`arrival_order` when
+        the completions it writes are strictly increasing in arrival
+        order; otherwise the first call sorts.
+        """
         if self._completion_order is None:
             self._completion_order = np.argsort(self.completion, kind="stable")
         return self._completion_order

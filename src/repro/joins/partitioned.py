@@ -606,17 +606,15 @@ class PartitionedPECJoin(PECJoin):
         hi = self._ingest_cursor
         if hi <= lo or self.partitions is None:
             return
-        idx = self._comp_order[lo:hi]
-        keys = arrays.key[idx]
+        keys = arrays.key[self._comp_order[lo:hi]]
         if not self.hot_state:
             self.partitions.observe(keys, 0)
             return
         slots = self._hot_slot[keys]
         hot = slots >= 0
-        idx = idx[hot]
-        self.partitions.observe(keys, len(idx))
-        if len(idx):
-            delays = np.maximum(arrays.arrival[idx] - arrays.event[idx], 0.0)
+        delays = self._comp_delays[lo:hi][hot]
+        self.partitions.observe(keys, len(delays))
+        if len(delays):
             counts, delays = _group_by_slot(slots[hot], len(self.hot_state), delays)
             at = 0
             for state, n in zip(self.hot_state.values(), counts):

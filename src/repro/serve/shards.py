@@ -64,7 +64,7 @@ from repro import obs
 from repro.core.compensation import compensated_value
 from repro.core.delay_profile import DelayProfile
 from repro.core.persistence import profile_state, restore_profile
-from repro.joins.aggregator import DeltaGrid
+from repro.joins.aggregator import DeltaGrid, grid_slot
 from repro.joins.arrays import AggKind, WindowAggregate, check_aligned
 
 __all__ = ["ShardAnswer", "ShardStore"]
@@ -415,8 +415,9 @@ class ShardStore:
         if len(self) == 0:
             return EMPTY_ANSWER
         grid = self.grid
-        if grid.covers(start, end) and start >= horizon:
-            observed = grid.query(grid.window_index(start), available_by)
+        idx = grid_slot(grid.origin, grid.length, start, end)
+        if idx is not None and start >= horizon:
+            observed = grid.query(idx, available_by)
         else:
             obs.counter("serve.shard.scan_fallbacks").inc()
             observed = grid.scan(max(start, horizon), end, available_by)

@@ -515,7 +515,8 @@ class StreamingPECJ(_StreamingBase, PECJCore):
         if not self._warm():
             return state.value(self.agg), None, extra
         widx = math.floor(state.start / self.window_length)
-        self._set_context(self._delay_context(state.start, state.end, cutoff))
+        if self._wants_context:
+            self._set_context(self._delay_context(state.start, state.end, cutoff))
         bucket_len = state.length / state.num_buckets
         cs = [
             self.profile.completeness(cutoff - (state.start + (b + 0.5) * bucket_len))

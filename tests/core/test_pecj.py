@@ -9,7 +9,8 @@ from repro.joins.baselines import WatermarkJoin
 from repro.joins.runner import run_operator
 from repro.streams.datasets import make_dataset
 from repro.streams.disorder import NoDisorder, UniformDelay
-from repro.streams.sources import make_disordered_arrays
+from repro.streaming.operators import StreamingPECJ
+from repro.streams.sources import make_disordered_arrays, make_disordered_pair
 
 WLEN = 10.0
 
@@ -23,6 +24,13 @@ def micro_arrays(delay=None, seed=5, duration=1500.0, rate=50.0):
         rate,
         seed=seed,
     )
+
+
+def micro_pair(seed=5, duration=1500.0, rate=50.0):
+    merged, _, _ = make_disordered_pair(
+        make_dataset("micro", num_keys=10), UniformDelay(5.0), duration, rate, rate, seed=seed
+    )
+    return merged
 
 
 def run(op, arrays, omega=10.0, warmup=30):
@@ -185,3 +193,38 @@ class TestCredibleIntervals:
         op.prepare(arrays, WLEN, 10.0)
         op.process_window(arrays, Window(0.0, 10.0), 0.3)
         assert op.last_interval is None
+
+
+class TestDelayContext:
+    """The delay-shape context is built only for estimators that read it."""
+
+    @pytest.mark.parametrize("backend", ["aema", "svi"])
+    def test_analytical_backends_build_no_context(self, backend, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"{backend} built a delay context it discards")
+
+        monkeypatch.setattr(PECJoin, "_delay_context", refuse)
+        monkeypatch.setattr(StreamingPECJ, "_delay_context", refuse)
+        op = PECJoin(AggKind.COUNT, backend=backend)
+        run(op, micro_arrays())
+        assert not op._wants_context
+        push = StreamingPECJ(WLEN, 10.0, backend=backend)
+        for t in micro_pair(duration=600.0).in_arrival_order():
+            push.push(t)
+        push.finish()
+        assert push.scored
+
+    def test_mlp_builds_a_context_up_to_the_last_window(self, monkeypatch):
+        built = []
+        context = PECJoin._delay_context
+
+        def counting(self, *args):
+            built.append(args[1].start)
+            return context(self, *args)
+
+        monkeypatch.setattr(PECJoin, "_delay_context", counting)
+        op = PECJoin(AggKind.COUNT, backend="mlp")
+        result = run(op, micro_arrays(duration=600.0), warmup=5)
+        assert op._wants_context
+        assert 0 < len(built) <= len(result.warmup_records) + len(result.records)
+        assert built[-1] == result.records[-1].window.start

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.joins.aggregator import DeltaGrid
+from repro.joins.aggregator import DeltaGrid, grid_slot
 from repro.joins.arrays import BatchArrays
 
 NUM_KEYS = 6
@@ -119,12 +119,10 @@ class TestEquivalence:
 
 
 class TestGeometry:
-    def test_covers_is_exact_one_window(self):
-        grid = DeltaGrid(2, LENGTH, origin=10.0)
-        assert grid.covers(110.0, 210.0)
-        assert not grid.covers(110.0, 215.0)  # wrong length
-        assert not grid.covers(115.0, 215.0)  # off grid
-        assert grid.window_index(110.0) == 1
+    def test_grid_slot_is_exact_one_window(self):
+        assert grid_slot(10.0, LENGTH, 110.0, 210.0) == 1
+        assert grid_slot(10.0, LENGTH, 110.0, 215.0) is None  # wrong length
+        assert grid_slot(10.0, LENGTH, 115.0, 215.0) is None  # off grid
 
     def test_empty_and_unknown_windows_answer_empty(self):
         grid = DeltaGrid(2, LENGTH)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.estimators.aema import AEMAEstimator
 from repro.joins.arrays import AggKind
 from repro.streaming.operators import StreamingKSJ, StreamingPECJ, StreamingWMJ
 from repro.streams.datasets import make_dataset
@@ -256,9 +257,23 @@ class TestSkippedAdvance:
 
 
 class TestDelayLog:
+    class ContextAEMA(AEMAEstimator):
+        """AEMA that keeps the delay-shape context it is handed: an
+        estimator that reads the context, so the operator builds one."""
+
+        context = None
+
+        def set_context(self, context):
+            self.context = context
+
     class DequeContext(StreamingPECJ):
         """Checks every delay-shape context against the deque it replaced:
-        the last 4096 ingested ``(event, max(delay, 0))`` pairs."""
+        the last 4096 ingested ``(event, max(delay, 0))`` pairs.  Its
+        estimators read the context (the default AEMA's do not, and the
+        operator builds none for them)."""
+
+        def _reset_core(self, omega, make):
+            super()._reset_core(omega, TestDelayLog.ContextAEMA)
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
@@ -295,6 +310,7 @@ class TestDelayLog:
         op = self.DequeContext(10.0, 10.0)
         drive(op, tuples)
         assert op.checked > 50
+        assert op.rate_r.context is not None
         # The log was trimmed (it holds far fewer rows than were pushed).
         assert op._log.base > 0
         assert op._log.size < len(tuples) / 2
