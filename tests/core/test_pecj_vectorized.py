@@ -3,9 +3,10 @@
 ``PECJoin`` batches the per-bucket rate observations and per-window
 bucket sweeps into single numpy expressions.  The contract is not
 "close": every emitted window record must be bit-identical to the
-per-bucket reference loop (``tests/oracles/pecj_loop.py``), across
-backends, aggregations, fault injection and sliding grids — the same bar
-the parallel executor is held to.
+per-bucket reference loop (``ReferencePECJoin`` in
+``tests/oracles/pecj_loop.py``), across backends, aggregations, fault
+injection and sliding grids — the same bar the parallel executor is
+held to.
 """
 
 import json
@@ -21,7 +22,7 @@ from repro.joins.sliding import run_sliding_operator
 from repro.streams.datasets import make_dataset
 from repro.streams.disorder import UniformDelay
 from repro.streams.sources import make_disordered_arrays
-from tests.oracles.pecj_loop import PerBucketPECJoin
+from tests.oracles.pecj_loop import ReferencePECJoin
 
 WLEN = 10.0
 
@@ -62,7 +63,7 @@ def record_bytes(result):
 
 def assert_identical(make_op, arrays, omega=10.0):
     fused = run(make_op(PECJoin), arrays, omega=omega)
-    reference = run(make_op(PerBucketPECJoin), arrays, omega=omega)
+    reference = run(make_op(ReferencePECJoin), arrays, omega=omega)
     assert record_bytes(fused) == record_bytes(reference)
 
 
@@ -123,4 +124,4 @@ def test_sliding_grids_with_nonzero_origins():
             warmup_windows=10,
         )
 
-    assert record_bytes(run_slide(PECJoin)) == record_bytes(run_slide(PerBucketPECJoin))
+    assert record_bytes(run_slide(PECJoin)) == record_bytes(run_slide(ReferencePECJoin))
