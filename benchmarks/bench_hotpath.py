@@ -1,7 +1,7 @@
 """Hot-path microbenchmark: aggregation, ingest and executor paths.
 
-Three sections, each pairing a slow reference path with its optimised
-replacement and asserting equivalence before timing:
+Each section pairs a slow reference path with its optimised
+replacement and asserts equivalence before timing:
 
 * **hotpath** — per-window rescan (``BatchArrays.aggregate``, which
   rebuilds per-key count tables for every query) vs the incremental
@@ -17,6 +17,11 @@ replacement and asserting equivalence before timing:
   bucket grid dense enough (20 buckets/window) that the estimator loop
   dominates; window records are asserted byte-identical first.  Gated
   single-core at >= 1.3x in full mode.
+* **skew** — ``PartitionedPECJoin`` in its per-key configuration (every
+  key whose share reaches 1e-4 takes a partition) vs the default
+  operator's capped hot set, on a Zipf-1.4 stream over a wide key
+  domain; uniform-key bit-identity with PECJ and the hot + cold
+  accounting identity are asserted first.  Gated >= 1.3x in full mode.
 * **executor** — a serial fig6 smoke sweep vs the same sweep sharded
   across shared-memory worker processes; row tables are asserted
   byte-identical.  Wall-clock speedup is gated whenever the machine has
@@ -296,20 +301,23 @@ def estimator_workload(duration_ms, num_keys, pairs):
 
 
 def skew_workload(num_keys, pairs, smoke):
-    """Hot-key partitioned operator vs full per-key grouping at scale.
+    """Default hot-key partitions vs every key promotable, at scale.
 
-    Over a Zipf-1.4 stream on a wide key domain, ``GroupedPECJoin``
-    carries O(num_keys) state and bincount work per window while
-    ``PartitionedPECJoin`` tracks K hot partitions plus one cold
-    aggregate — the wall-clock gap is the point of partitioning.  Before
-    timing, two correctness asserts: at skew 0 the partitioned operator
-    must emit the plain PECJ values bit-for-bit, and at skew 1.4 the hot
-    accounting identity (hot + cold == total, per side) must hold on
-    every hot window.  The speedup is the median, over ``pairs``
-    interleaved grouped/partitioned runs (alternating which goes first),
-    of each pair's time ratio, with the ratios' interquartile range.
+    Over a Zipf-1.4 stream on a wide key domain, the per-key
+    configuration of ``PartitionedPECJoin`` (``max_hot`` and
+    ``sketch_capacity`` at ``num_keys``, ``enter_share=1e-4``,
+    ``boost=0.0``) gives every key whose share reaches 1e-4 its own
+    partition, while the default operator keeps at most 8 hot partitions
+    plus one cold aggregate — the wall-clock gap is what confining
+    per-key state to the keys that pay saves.  Before timing, correctness
+    asserts: at skew 0 the default operator must emit the plain PECJ
+    values bit-for-bit; at skew 1.4 the hot accounting identity (hot +
+    cold == total, per side) must hold on every hot window of both
+    configurations, and the per-key one must promote more keys.  The
+    speedup is the median, over ``pairs`` interleaved per-key/default
+    runs (alternating which goes first), of each pair's time ratio, with
+    the ratios' interquartile range.
     """
-    from repro.core.grouped import GroupedPECJoin, run_grouped
     from repro.joins.partitioned import PartitionedPECJoin
 
     duration = 300.0 if smoke else 1000.0
@@ -338,28 +346,32 @@ def skew_workload(num_keys, pairs, smoke):
         duration_ms=duration, rate_r=50.0, rate_s=50.0, seed=9,
     )
 
-    def partitioned_pass():
-        op = PartitionedPECJoin()
+    def partitioned_pass(**kwargs):
+        op = PartitionedPECJoin(**kwargs)
         run_operator(
             op, skewed, length, omega,
             t_start=t_start, t_end=t_end, warmup_windows=10,
         )
         return op
 
-    def grouped_pass():
-        return run_grouped(
-            GroupedPECJoin(num_keys=num_keys), skewed, omega,
-            t_start=t_start, t_end=t_end, warmup_windows=10,
+    def per_key_pass():
+        return partitioned_pass(
+            max_hot=num_keys, sketch_capacity=num_keys,
+            enter_share=1e-4, boost=0.0,
         )
 
-    op = partitioned_pass()
-    for _, hot_r, hot_s, cold_r, cold_s, total_r, total_s in op.accounting:
-        assert hot_r + cold_r == total_r and hot_s + cold_s == total_s, (
-            "skew: hot/cold accounting identity violated"
-        )
+    op, per_key_op = partitioned_pass(), per_key_pass()
+    for which in (op, per_key_op):
+        for _, hot_r, hot_s, cold_r, cold_s, total_r, total_s in which.accounting:
+            assert hot_r + cold_r == total_r and hot_s + cold_s == total_s, (
+                "skew: hot/cold accounting identity violated"
+            )
+    assert len(per_key_op.hot_state) > len(op.hot_state), (
+        "skew: the per-key configuration promoted no more keys than the default"
+    )
 
-    t_grouped, t_part, speedup, iqr = interleaved_pairs(
-        grouped_pass, partitioned_pass, pairs
+    t_per_key, t_part, speedup, iqr = interleaved_pairs(
+        per_key_pass, partitioned_pass, pairs
     )
     n = len(skewed.event)
     row = {
@@ -367,16 +379,18 @@ def skew_workload(num_keys, pairs, smoke):
         "tuples": n,
         "num_keys": num_keys,
         "hot_keys": float(len(op.hot_state)),
+        "per_key_hot_keys": float(len(per_key_op.hot_state)),
         "records_identical": True,
         "pairs": pairs,
-        "grouped": {"seconds": t_grouped, "tuples_per_s": n / t_grouped},
+        "per_key": {"seconds": t_per_key, "tuples_per_s": n / t_per_key},
         "partitioned": {"seconds": t_part, "tuples_per_s": n / t_part},
         "speedup": speedup,
         "speedup_iqr": iqr,
     }
     print(
-        f"skew/partitioned: n={n} keys={num_keys} hot={len(op.hot_state)} | "
-        f"grouped {t_grouped * 1e3:.2f} ms | partitioned {t_part * 1e3:.2f} ms | "
+        f"skew/partitioned: n={n} keys={num_keys} hot={len(op.hot_state)} "
+        f"per-key hot={len(per_key_op.hot_state)} | per-key "
+        f"{t_per_key * 1e3:.2f} ms | partitioned {t_part * 1e3:.2f} ms | "
         f"speedup {speedup:.2f}x (median of {pairs} pairs, IQR {iqr:.2f})"
     )
     return row
@@ -734,9 +748,10 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        # Tracking K hot partitions must beat carrying O(num_keys)
-        # grouped state on a wide skewed domain, or the partition layer
-        # is not paying its way.  Smoke mode only checks equivalence.
+        # Capping the hot set at K partitions must beat giving every
+        # key that clears 1e-4 its own partition on a wide skewed
+        # domain, or the cap is not paying its way.  Smoke mode only
+        # checks equivalence and accounting.
         if skew_row["speedup"] < 1.3:
             print(
                 f"FAIL: skew partitioned speedup {skew_row['speedup']:.2f}x < 1.3x",

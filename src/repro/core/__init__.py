@@ -3,14 +3,11 @@
 from repro.core.compensation import CompensatedEstimate, compensate, product_interval
 from repro.core.delay_profile import DelayProfile
 from repro.core.estimators import AEMAEstimator, PosteriorEstimator, SVIEstimator
-from repro.core.grouped import GroupedPECJoin, run_grouped
 from repro.core.pecj import PECJoin, make_estimator
 from repro.core.persistence import checkpoint_pecj, restore_pecj
 
 __all__ = [
     "PECJoin",
-    "GroupedPECJoin",
-    "run_grouped",
     "checkpoint_pecj",
     "restore_pecj",
     "make_estimator",

@@ -32,17 +32,6 @@ class CompensatedEstimate:
     sigma: float
     alpha_r: float
 
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict form for JSON reports and tables."""
-        return {
-            "value": self.value,
-            "n_r": self.n_r,
-            "n_s": self.n_s,
-            "sigma": self.sigma,
-            "alpha_r": self.alpha_r,
-        }
-
-
 def compensate(
     agg: AggKind,
     n_r: float,

@@ -563,13 +563,3 @@ class MLPEstimator(PosteriorEstimator):
     def is_warm(self) -> bool:
         """Whether the network has trained on enough windows to be trusted."""
         return self._count >= self.warm_after
-
-    def elbo_of_current(self, xs: Sequence[float], z_means: Sequence[float]) -> float:
-        """ELBO_q assembled from the seven-dimensional head (Eq. 15)."""
-        from repro.nn.losses import elbo_from_outputs
-
-        features = build_features(
-            self._hist, xs, z_means, self._scale or 1.0, self._context
-        )
-        out = self.net.forward(features[None, :])
-        return float(elbo_from_outputs(out)[0])

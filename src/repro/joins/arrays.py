@@ -408,20 +408,6 @@ class BatchArrays:
             payload = payload[avail]
         return aggregate_of(keys, is_r, payload, self._num_keys)
 
-    def side_count(
-        self,
-        start: float,
-        end: float,
-        want_r: bool,
-        available_by: float | None = None,
-    ) -> int:
-        """Count of one side's tuples in an event-time range."""
-        sl = self.window_slice(start, end)
-        mask = self.is_r[sl] if want_r else ~self.is_r[sl]
-        if available_by is not None:
-            mask = mask & (self.completion[sl] <= available_by)
-        return int(mask.sum())
-
     def arrivals_in_window(
         self, start: float, end: float, available_by: float
     ) -> np.ndarray:

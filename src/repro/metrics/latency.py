@@ -68,11 +68,6 @@ class LatencyTracker:
         """Record one tuple's latency (clamped at zero, see above)."""
         self._samples.append(self._clamp(emit_time - arrival_time))
 
-    def record_many(self, emit_time: float, arrival_times: Iterable[float]) -> None:
-        """Record latencies for every arrival against one emit time."""
-        for a in arrival_times:
-            self.record(emit_time, a)
-
     def extend(self, samples: Iterable[float]) -> None:
         """Merge raw latency samples (e.g. from another tracker).
 

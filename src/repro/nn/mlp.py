@@ -87,10 +87,6 @@ class MLP:
         """All gradient arrays, aligned with :attr:`params`."""
         return [g for layer in self.layers for g in layer.grads()]
 
-    def num_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(p.size for p in self.params())
-
     def make_optimizer(self, kind: str = "adam", lr: float = 1e-3, **kwargs) -> Optimizer:
         """Create an optimizer bound to this network's parameters."""
         from repro.nn.optim import SGD

@@ -133,17 +133,6 @@ class StreamBatch:
             return 0.0
         return max(t.delay for t in self._tuples)
 
-    def time_span(self) -> tuple[float, float]:
-        """(min event time, max event time) over the batch."""
-        if not self._tuples:
-            return (0.0, 0.0)
-        events = [t.event_time for t in self._tuples]
-        return (min(events), max(events))
-
-    def merged_with(self, other: "StreamBatch") -> "StreamBatch":
-        """A new batch holding the union of both batches' tuples."""
-        return StreamBatch(list(self._tuples) + list(other._tuples))
-
 
 class ColumnarStreamBatch(StreamBatch):
     """A :class:`StreamBatch` view over numpy columns.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from repro.streams.tuples import StreamTuple
 
@@ -95,17 +95,6 @@ class TumblingWindows(WindowAssigner):
         # The half-open range means an event exactly at `end` is excluded.
         last = self.window_index(end - 1e-12)
         return [self.window_at(i) for i in range(first, last + 1)]
-
-    def iter_windows(self, tuples: Sequence[StreamTuple]) -> Iterator[tuple[Window, list[StreamTuple]]]:
-        """Group a batch of tuples by tumbling window, in window order."""
-        if not tuples:
-            return
-        groups: dict[int, list[StreamTuple]] = {}
-        for t in tuples:
-            groups.setdefault(self.window_index(t.event_time), []).append(t)
-        for idx in sorted(groups):
-            yield self.window_at(idx), groups[idx]
-
 
 class SlidingWindows(WindowAssigner):
     """Overlapping windows of fixed ``length`` advancing by ``slide``."""

@@ -148,16 +148,3 @@ class Gamma:
             + other.shape * (math.log(self.rate) - math.log(other.rate))
             + self.shape * (other.rate - self.rate) / self.rate
         )
-
-    def posterior_gaussian_precision(
-        self, sq_residual_sum: float, n: int
-    ) -> "Gamma":
-        """Conjugate update as the precision of Gaussian observations.
-
-        Given ``n`` Gaussian observations whose (expected) squared residual
-        about the mean sums to ``sq_residual_sum``, returns the updated
-        Gamma posterior: shape + n/2, rate + residuals/2.
-        """
-        if n < 0 or sq_residual_sum < 0.0:
-            raise ValueError("need non-negative counts and residuals")
-        return Gamma(self.shape + 0.5 * n, self.rate + 0.5 * sq_residual_sum)

@@ -32,12 +32,6 @@ class TestCompensate:
         assert est.value == 0.0
         assert est.n_r == 0.0
 
-    def test_as_dict_round_trip(self):
-        est = compensate(AggKind.COUNT, 2.0, 3.0, 0.5)
-        d = est.as_dict()
-        assert d["value"] == est.value
-        assert d["sigma"] == 0.5
-
     @given(n_r=nonneg, n_s=nonneg, sigma=st.floats(min_value=0, max_value=1))
     def test_count_value_nonnegative_property(self, n_r, n_s, sigma):
         assert compensate(AggKind.COUNT, n_r, n_s, sigma).value >= 0.0

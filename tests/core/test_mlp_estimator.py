@@ -156,7 +156,3 @@ class TestContinualLearning:
         assert not est.is_warm
         for p, w in zip(est.net.params(), w_before):
             assert np.array_equal(p, w)
-
-    def test_elbo_of_current_is_finite(self, estimator):
-        e = estimator.elbo_of_current([1.0, 1.1], [1.0, 1.0])
-        assert np.isfinite(e)

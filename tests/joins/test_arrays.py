@@ -197,14 +197,6 @@ class TestBatchArrays:
         with pytest.raises(ValueError):
             arrays.aggregate(0.0, 10.0, 5.0, clock="bogus")
 
-    def test_side_count(self):
-        arrays = make_arrays(
-            [(1.0, 1.0, 0, 1.0, True), (2.0, 2.0, 0, 1.0, False), (3.0, 3.0, 0, 1.0, True)]
-        )
-        assert arrays.side_count(0.0, 10.0, want_r=True) == 2
-        assert arrays.side_count(0.0, 10.0, want_r=False) == 1
-        assert arrays.side_count(0.0, 10.0, want_r=True, available_by=1.5) == 1
-
     def test_arrivals_in_window(self):
         arrays = make_arrays([(1.0, 2.0, 0, 1.0, True), (3.0, 8.0, 0, 1.0, False)])
         got = arrays.arrivals_in_window(0.0, 10.0, 5.0)

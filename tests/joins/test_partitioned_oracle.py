@@ -4,7 +4,7 @@ The heap-indexed :class:`SpaceSavingSketch` is diffed against the scan
 sketch it replaced (``tests/oracles/space_saving.py``) over random
 operation sequences, and whole operator runs are diffed against runs that
 use the scan sketch.  The one-pass hot-key counts are diffed against a
-mask per hot key, and the scalar prior update against the array one.
+mask per hot key.
 """
 
 import random
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.delay_profile import DelayProfile
-from repro.core.grouped import _SideRatePrior
 from repro.core.persistence import profile_state
 from repro.joins import partitioned
 from repro.joins.arrays import AggKind
@@ -152,7 +151,7 @@ def test_hot_window_counts_match_a_mask_per_key(agg, max_hot):
     mask per hot key over the window's available tuples, bit for bit."""
     arrays = base.skewed_arrays(1.1, num_keys=32, seed=5)
     arrays.payload = arrays.payload + np.random.default_rng(0).random(len(arrays))
-    op = PartitionedPECJoin(agg, max_hot=max_hot)
+    op = PartitionedPECJoin(agg, max_hot=max_hot, sketch_capacity=max(max_hot, 64))
     op.prepare(arrays, 10.0, 10.0)
     assert op._hot_slot.dtype == (np.int8 if max_hot <= 128 else np.int32)
     op._apply_repartition({0, 3, 1}, set(), 0, 0.0)
@@ -205,10 +204,3 @@ def test_hot_delay_ingest_matches_a_mask_per_key():
         assert state.observed == observed[key] > 0
         assert profile_state(state.profile) == profile_state(ref[key])
 
-
-def test_single_count_prior_update_matches_array_update():
-    a, b = _SideRatePrior(), _SideRatePrior()
-    for count in [0, 3, 17, 1, 250, 9, 0, 41]:
-        a.update(np.array([float(count)]), 10.0)
-        b.update_one(count, 10.0)
-        assert (a._mean, a._second, a._weight) == (b._mean, b._second, b._weight)

@@ -43,11 +43,6 @@ class TestLatencyTracker:
         t.record(emit_time=5.0, arrival_time=10.0)
         assert t.samples[0] == 0.0
 
-    def test_record_many(self):
-        t = LatencyTracker()
-        t.record_many(10.0, [2.0, 4.0, 6.0])
-        assert list(t.samples) == [8.0, 6.0, 4.0]
-
     def test_extend_accepts_iterables(self):
         import numpy as np
 

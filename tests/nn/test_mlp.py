@@ -27,11 +27,6 @@ def test_rejects_tiny_architectures_and_bad_activations():
         MLP([4, 2], rng, activation="swish")
 
 
-def test_num_parameters():
-    net = MLP([3, 5, 2], np.random.default_rng(0))
-    assert net.num_parameters() == (3 * 5 + 5) + (5 * 2 + 2)
-
-
 def test_fits_linear_function():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(400, 3))

@@ -81,24 +81,10 @@ class TestStreamBatch:
     def test_max_delay_empty(self):
         assert StreamBatch([]).max_delay() == 0.0
 
-    def test_time_span(self):
-        batch = StreamBatch([make_tuple(event=2.0), make_tuple(event=9.0)])
-        assert batch.time_span() == (2.0, 9.0)
-
-    def test_time_span_empty_is_defined(self):
-        """An empty batch has a defined degenerate span, not a ValueError."""
-        assert StreamBatch([]).time_span() == (0.0, 0.0)
-
     def test_empty_batch_orderings_and_sides(self):
         empty = StreamBatch([])
         assert empty.in_arrival_order() == []
         assert empty.side(Side.R) == []
-
-    def test_merged_with_unions_tuples(self):
-        a = StreamBatch([make_tuple(seq=0)])
-        b = StreamBatch([make_tuple(seq=1)])
-        assert len(a.merged_with(b)) == 2
-
 
 class TestColumnarStreamBatch:
     def _columns(self):
@@ -160,7 +146,7 @@ class TestColumnarStreamBatch:
             empty, empty, empty.astype(int), empty, Side.R
         )
         assert len(batch) == 0
-        assert batch.time_span() == (0.0, 0.0)
+        assert batch.in_arrival_order() == []
         assert batch.max_delay() == 0.0
 
 

@@ -68,13 +68,6 @@ class TestTumblingWindows:
         with pytest.raises(ValueError):
             TumblingWindows(0.0)
 
-    def test_iter_windows_groups_in_order(self):
-        tw = TumblingWindows(10.0)
-        tuples = [tup(5.0), tup(25.0), tup(7.0)]
-        groups = list(tw.iter_windows(tuples))
-        assert [w.start for w, _ in groups] == [0.0, 20.0]
-        assert len(groups[0][1]) == 2
-
     @given(
         st.floats(min_value=-1e5, max_value=1e5, allow_nan=False).filter(
             lambda t: t == 0.0 or abs(t) > 1e-9

@@ -100,16 +100,6 @@ class TestGamma:
         assert g1.kl_to(g2) >= -1e-7
         assert g1.kl_to(g1) == pytest.approx(0.0, abs=1e-9)
 
-    def test_precision_update_counts_observations(self):
-        prior = Gamma(2.0, 2.0)
-        post = prior.posterior_gaussian_precision(sq_residual_sum=10.0, n=20)
-        assert post.shape == pytest.approx(12.0)
-        assert post.rate == pytest.approx(7.0)
-
-    def test_precision_update_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Gamma(1.0, 1.0).posterior_gaussian_precision(-1.0, 5)
-
     def test_entropy_matches_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         g = Gamma(3.0, 0.5)
