@@ -385,9 +385,10 @@ class PECJoin(StreamJoinOperator, PECJCore):
 
     The per-window delay-shape context is built only for backends whose
     estimators read it (``mlp``); ``aema`` and ``svi`` skip it.
-    Per-bucket counts come from one ``searchsorted`` + cumulative-sum
-    sweep per drain and each finalization batch reaches the estimators in
-    one :meth:`~repro.core.estimators.base.PosteriorEstimator.observe_many`
+    Per-bucket available counts are advanced by one ``bincount`` per
+    drain along the completion order and read off by the window sweeps,
+    and each finalization batch reaches the estimators in one
+    :meth:`~repro.core.estimators.base.PosteriorEstimator.observe_many`
     call; ``tests/oracles/pecj_loop.py`` keeps the per-bucket reference
     loop these must match bit for bit.
     """
@@ -436,83 +437,134 @@ class PECJoin(StreamJoinOperator, PECJCore):
         self._omega = omega
         self._bucket_len = window_length / self.buckets_per_window
         self._reset_core(omega, self._factory)
-        # Delay-ingest cursor over completion-ordered tuples (the order is
-        # cached on the batch per completion version), with their clamped
-        # delays computed once: each drain absorbs a slice.
+        # Delay-ingest cursor over completion-ordered tuples (the order and
+        # the sorted completions are cached on the batch per completion
+        # version), with their clamped delays computed once: each drain
+        # absorbs a slice.
         order = self._comp_order = arrays.completion_order()
-        self._comp_sorted = arrays.completion[order]
+        self._comp_sorted = arrays.sorted_completion()
         delays = arrays.arrival[order]
         delays -= arrays.event[order]
         self._comp_delays = np.maximum(delays, 0.0, out=delays)
         self._ingest_cursor = 0
-        # Finalization cursors (bucket / window indices on the event axis).
-        if len(arrays):
-            t0 = float(arrays.event.min())
-        else:
-            t0 = 0.0
+        # Finalization cursors (bucket / window indices on the event axis);
+        # the event column is sorted.
+        t0, t1 = (float(arrays.event[0]), float(arrays.event[-1])) if len(arrays) else (0.0, 0.0)
         self._next_bucket = int(np.floor((t0 - self.origin) / self._bucket_len))
         self._next_window = int(np.floor((t0 - self.origin) / self._wlen))
+        # Per-bucket available counts over a grid with two buckets of
+        # margin on each side of the batch, and the completion-order
+        # prefix they count.
+        self._avail_counts = None
+        self._count_cursor = 0
+        self._build_bucket_grid(
+            self._next_bucket - 2,
+            int(np.floor((t1 - self.origin) / self._bucket_len)) + 2,
+        )
 
     # -- observation machinery ----------------------------------------------
 
     def _ingest_delays(self, arrays: BatchArrays, now: float) -> None:
-        hi = int(np.searchsorted(self._comp_sorted, now, side="right"))
+        hi = int(self._comp_sorted.searchsorted(now, side="right"))
+        if hi != self._count_cursor:
+            self._drain_counts(arrays, hi)
         if hi <= self._ingest_cursor:
             return
         self.profile.update(self._comp_delays[self._ingest_cursor : hi])
         self._ingest_cursor = hi
 
-    def _bucket_counts_many(
-        self,
-        arrays: BatchArrays,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        now: float,
-    ) -> tuple[list[int], list[int]]:
-        """Per-bucket available-tuple counts for a run of buckets.
+    def _build_bucket_grid(self, lo: int, hi: int) -> None:
+        """(Re)build the per-bucket arrays over buckets ``[lo, hi)``,
+        keeping the counts drained so far.
 
-        One ``searchsorted`` pair resolves every bucket boundary and one
-        cumulative-sum sweep over the covered slice replaces a per-bucket
-        slice-and-mask.  All counts are integer cumulative-sum differences
-        over the same boolean masks the per-bucket reference reduces, so
-        they are exactly equal.
+        Bucket ``b`` covers ``[origin + b * bucket_len, start +
+        bucket_len)``, the float edges the per-bucket reference reads;
+        ``_bucket_starts`` has one entry more, the start of bucket ``hi``.
         """
-        lo = np.searchsorted(arrays.event, starts, side="left")
-        hi = np.searchsorted(arrays.event, ends, side="left")
-        hi = np.maximum(hi, lo)
-        base = int(lo[0]) if len(lo) else 0
-        top = int(hi[-1]) if len(hi) else 0
-        if top <= base:
-            zeros = [0] * len(starts)
-            return zeros, list(zeros)
-        avail = arrays.completion[base:top] <= now
-        r_avail = arrays.is_r[base:top] & avail
-        cum_all = np.concatenate(([0], np.cumsum(avail)))
-        cum_r = np.concatenate(([0], np.cumsum(r_avail)))
-        n_r = cum_r[hi - base] - cum_r[lo - base]
-        n_all = cum_all[hi - base] - cum_all[lo - base]
-        return n_r.tolist(), (n_all - n_r).tolist()
+        starts = self.origin + np.arange(lo, hi + 1) * self._bucket_len
+        ends = starts + self._bucket_len
+        counts = np.zeros((hi - lo, 2), dtype=np.int64)
+        if self._avail_counts is not None:
+            at = self._bucket_base - lo
+            counts[at : at + len(self._avail_counts)] = self._avail_counts
+        self._bucket_base = lo
+        self._bucket_starts = starts
+        self._bucket_ends = ends[:-1]
+        self._bucket_mids = 0.5 * (starts[:-1] + ends[:-1])
+        #: Row ``i``: available S and R tuples of bucket ``lo + i``.
+        self._avail_counts = counts
+        # Rounding can end a bucket an ulp before or after the next one
+        # starts; a tuple there counts in no bucket or in two.
+        self._grid_clean = bool((ends[:-1] == starts[1:]).all())
+
+    def _bucket_rows(self, first: int, stop: int) -> slice:
+        """Rows of the per-bucket arrays for buckets ``[first, stop)``,
+        widening the grid when a run reads past the batch."""
+        lo = first - self._bucket_base
+        hi = stop - self._bucket_base
+        if lo < 0 or hi > len(self._avail_counts):
+            self._build_bucket_grid(
+                min(first, self._bucket_base),
+                max(stop, self._bucket_base + len(self._avail_counts)),
+            )
+            return self._bucket_rows(first, stop)
+        return slice(lo, hi)
+
+    def _drain_counts(self, arrays: BatchArrays, hi: int) -> None:
+        """Move the counted completion-order prefix to ``[0, hi)``.
+
+        The tuples between the old and the new cursor are binned and
+        added with one ``bincount`` (subtracted when ``now`` went back),
+        so each bucket's counts are its tuples with ``completion <=
+        now``.  A tuple's bucket is numpy's histogram index against the
+        bucket starts: a scaled guess, moved by one where rounding put
+        it on the wrong side of an edge.
+        """
+        lo, sign = self._count_cursor, 1
+        self._count_cursor = hi
+        if hi < lo:
+            lo, hi, sign = hi, lo, -1
+        idx = self._comp_order[lo:hi]
+        events = arrays.event[idx]
+        starts = self._bucket_starts
+        k = ((events - starts[0]) / self._bucket_len).astype(np.intp)
+        k -= events < starts[k]
+        k += events >= starts[k + 1]
+        codes = k + k
+        codes += arrays.is_r[idx]
+        if not self._grid_clean:
+            # Keep a tuple in its bucket only before the bucket's end, and
+            # add it to the previous bucket while that one has not ended
+            # (the grid's margin keeps k >= 1).
+            ends = self._bucket_ends
+            codes = np.concatenate(
+                (codes[events < ends[k]], codes[events < ends[k - 1]] - 2)
+            )
+            if not len(codes):
+                return
+        base = int(codes.min())
+        n = np.bincount(codes - base)
+        flat = self._avail_counts.reshape(-1)[base : base + len(n)]
+        if sign > 0:
+            flat += n
+        else:
+            flat -= n
 
     def _finalize_buckets(self, arrays: BatchArrays, first: int, now: float) -> None:
         """Feed the due buckets ``[first, self._next_bucket)`` to the rate estimators.
 
-        Their counts come from one :meth:`_bucket_counts_many` sweep and
-        the estimators absorb them in one :meth:`observe_many` call per
+        Their counts are read off the drained per-bucket counts and the
+        estimators absorb them in one :meth:`observe_many` call per
         stream side.  ``rate_r`` and ``rate_s`` are independent
         estimators, so feeding each its whole batch preserves the
         per-estimator observation order of a per-bucket loop.
         """
-        bs = np.arange(first, self._next_bucket)
-        starts = self.origin + bs * self._bucket_len
-        ends = starts + self._bucket_len
-        n_rs, n_ss = self._bucket_counts_many(arrays, starts, ends, now)
-        cs = self.profile.completeness_many(now - 0.5 * (starts + ends))
-        zs = np.ones_like(cs)
-        pos = cs > 0.0
-        zs[pos] = 1.0 / cs[pos]
-        blen = self._bucket_len
-        self.rate_r.observe_many([n / blen for n in n_rs], zs.tolist())
-        self.rate_s.observe_many([n / blen for n in n_ss], zs.tolist())
+        rows = self._bucket_rows(first, self._next_bucket)
+        counts = self._avail_counts[rows] / self._bucket_len
+        cs = self.profile.completeness_list((now - self._bucket_mids[rows]).tolist())
+        zs = [1.0 / c if c > 0.0 else 1.0 for c in cs]
+        self.rate_r.observe_many(counts[:, 1].tolist(), zs)
+        self.rate_s.observe_many(counts[:, 0].tolist(), zs)
 
     def _finalize(self, arrays: BatchArrays, now: float) -> None:
         horizon = self.profile.horizon(self.finalize_quantile)
@@ -556,20 +608,29 @@ class PECJoin(StreamJoinOperator, PECJCore):
 
         Counts are taken over ``[start, min(start + bucket_len,
         window.end))`` and the completeness ``c`` at the age of the
-        *unclipped* bucket midpoint, batched into one
-        :meth:`_bucket_counts_many` call and one
-        :meth:`~repro.core.delay_profile.DelayProfile.completeness_many`
-        lookup.
+        *unclipped* bucket midpoint.  The counts are read off the drained
+        per-bucket counts, minus what lies past the window's end when a
+        bucket ends after it, and the completenesses come from one
+        :meth:`~repro.core.delay_profile.DelayProfile.completeness_list`
+        call.
         """
-        first_bucket = int(round((window.start - self.origin) / self._bucket_len))
-        bs = np.arange(first_bucket, first_bucket + self.buckets_per_window)
-        starts = self.origin + bs * self._bucket_len
-        ends = starts + self._bucket_len
-        n_rs, n_ss = self._bucket_counts_many(
-            arrays, starts, np.minimum(ends, window.end), now
-        )
-        cs = self.profile.completeness_many(now - 0.5 * (starts + ends))
-        return n_rs, n_ss, cs.tolist()
+        first = int(round((window.start - self.origin) / self._bucket_len))
+        rows = self._bucket_rows(first, first + self.buckets_per_window)
+        counts = self._avail_counts[rows]
+        n_rs = counts[:, 1].tolist()
+        n_ss = counts[:, 0].tolist()
+        i = rows.stop - 1
+        while i >= rows.start and self._bucket_ends[i] > window.end:
+            cut = arrays.window_slice(
+                max(self._bucket_starts[i], window.end), self._bucket_ends[i]
+            )
+            avail = arrays.completion[cut] <= now
+            n_r = int((arrays.is_r[cut] & avail).sum())
+            n_rs[i - rows.start] -= n_r
+            n_ss[i - rows.start] -= int(avail.sum()) - n_r
+            i -= 1
+        cs = self.profile.completeness_list((now - self._bucket_mids[rows]).tolist())
+        return n_rs, n_ss, cs
 
     def process_window(
         self, arrays: BatchArrays, window: Window, available_by: float

@@ -59,13 +59,16 @@ def profile_state(profile: DelayProfile) -> dict[str, Any]:
 
 
 def restore_profile(profile: DelayProfile, state: dict[str, Any]) -> None:
-    """Restore a delay profile in place (bin count must match)."""
+    """Restore a delay profile in place (bin count must match, and no
+    count may be negative: completeness answers assume none is)."""
     counts = np.asarray(state["counts"], dtype=float)
     if len(counts) != profile.num_bins:
         raise ValueError(
             f"bin count mismatch: snapshot has {len(counts)}, profile has "
             f"{profile.num_bins}"
         )
+    if (counts < 0.0).any():
+        raise ValueError("negative bin count in delay-profile snapshot")
     profile._span = float(state["span"])
     profile._counts = counts
     profile._total = float(state["total"])

@@ -202,6 +202,7 @@ class BatchArrays:
         # Completion-derived caches, invalidated by mark_completion_dirty().
         self._completion_version = 0
         self._completion_order: np.ndarray | None = None
+        self._sorted_completion: np.ndarray | None = None
         self._arrival_order: np.ndarray | None = None
         self._drain_cache: tuple[int, object] | None = None
         self._cost_signature: tuple | None = None
@@ -280,6 +281,7 @@ class BatchArrays:
         """
         self._completion_version += 1
         self._completion_order = None
+        self._sorted_completion = None
         self._drain_cache = None
         self._cost_signature = None
         obs.counter("arrays.completion_version_bumps").inc()
@@ -310,6 +312,19 @@ class BatchArrays:
         if self._completion_order is None:
             self._completion_order = np.argsort(self.completion, kind="stable")
         return self._completion_order
+
+    def sorted_completion(self) -> np.ndarray:
+        """``completion[completion_order()]``: the completion times in
+        ascending order (cached per completion version; read-only by
+        contract, since the PECJ drain cursor and :meth:`drain_function`
+        share it).
+
+        ``apply_pipeline_costs`` presets it with the completions it
+        computed in arrival order whenever it presets the order.
+        """
+        if self._sorted_completion is None:
+            self._sorted_completion = self.completion[self.completion_order()]
+        return self._sorted_completion
 
     #: Cap on cached WindowAggregator grids per batch.  Sliding adapters
     #: run one phase-shifted grid per (length, origin) pair and would grow
@@ -352,10 +367,15 @@ class BatchArrays:
             return cached[1]
         order = self.arrival_order()
         arrivals = self.arrival[order]
-        completions = self.completion[order]
-        # Single-server completions are monotone in arrival order already,
-        # but guard against cost profiles that break ties oddly.
-        completions = np.maximum.accumulate(completions)
+        if self._completion_order is order:
+            # Completions sorted along the arrival order: the running
+            # maximum below would be the identity.
+            completions = self.sorted_completion()
+        else:
+            # Single-server completions are monotone in arrival order
+            # already, but guard against cost profiles that break ties
+            # oddly.
+            completions = np.maximum.accumulate(self.completion[order])
 
         def drain(t: float) -> float:
             idx = int(np.searchsorted(arrivals, t, side="right"))

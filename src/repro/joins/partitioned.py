@@ -171,6 +171,11 @@ class SpaceSavingSketch:
         """``(count, error)`` for ``key`` (``(0, 0)`` when untracked)."""
         return self._counts.get(key, 0.0), self._errors.get(key, 0.0)
 
+    def max_count(self) -> float | None:
+        """The largest counter (``top(1)``'s count without the sort), or
+        ``None`` when nothing is tracked."""
+        return max(self._counts.values(), default=None)
+
     def top(self, k: int) -> list[tuple[int, float, float]]:
         """The ``k`` largest counters as ``(key, count, error)``, sorted.
 
@@ -484,9 +489,9 @@ class PartitionMap:
         """
         self._barriers += 1
         self.sketch.decay(self.decay_factor)
-        top = self.sketch.top(1)
-        if top and self.sketch.total > 0.0:
-            self._share_history.append(top[0][1] / self.sketch.total)
+        hottest = self.sketch.max_count()
+        if hottest is not None and self.sketch.total > 0.0:
+            self._share_history.append(hottest / self.sketch.total)
         if self.hot and self._barrier_observed > 0:
             self._hit_history.append(self._barrier_hits / self._barrier_observed)
         self._barrier_observed = 0

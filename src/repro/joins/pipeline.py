@@ -171,6 +171,8 @@ def apply_pipeline_costs(
     if strictly_increasing(done):
         # Completions strictly increasing in arrival order have one sort
         # order, the arrival order; ties (KSJ's inf drops among them)
-        # leave completion_order() to sort.
+        # leave completion_order() to sort.  ``done`` is then the
+        # completion column in that order.
         arrays._completion_order = order
+        arrays._sorted_completion = done
     arrays._cost_signature = signature

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -509,8 +510,8 @@ class JoinService:
 
     def _profile_healthy(self, shard: ShardStore) -> bool:
         """Probe one shard's delay profile for finite completeness."""
-        probe = np.asarray([shard.profile._span * 0.5])
-        return bool(np.isfinite(shard.profile.completeness_many(probe)).all())
+        (c,) = shard.profile.completeness_list([shard.profile._span * 0.5])
+        return math.isfinite(c)
 
     def _repair_profiles(self, now_ms: float) -> None:
         """Barrier-time repair: restore poisoned profiles, refresh checkpoints.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.delay_profile import DelayProfile
+from repro.core.delay_profile import SCALED_INDEX_MIN, DelayProfile
 from repro.core.persistence import profile_state, restore_profile
 
 
@@ -38,28 +38,28 @@ class TestLearning:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_vectorised_matches_scalar_bitwise(self):
-        """completeness_many is the contract the fused estimator path
-        relies on: bit-equal to per-element completeness(), edges
-        included."""
+        """completeness_list is the contract the PECJ bucket sweeps rely
+        on: bit-equal to per-element completeness() and to the numpy
+        expression they used to evaluate, edges included."""
         rng = np.random.default_rng(2)
         p = warm_profile(rng.exponential(3.0, 5000))
         span = p._span
-        ages = np.array(
-            [-1.0, 0.0, 0.5, 2.0, 7.7, span - 1e-9, span, span + 5.0, 100.0]
-        )
-        many = p.completeness_many(ages)
+        ages = [-1.0, 0.0, 0.5, 2.0, 7.7, span - 1e-9, span, span + 5.0, 100.0]
+        listed = np.array(p.completeness_list(ages))
         scalar = np.array([p.completeness(a) for a in ages])
-        np.testing.assert_array_equal(many, scalar)
+        np.testing.assert_array_equal(listed, scalar)
+        np.testing.assert_array_equal(listed, completeness_many(p, ages))
 
     def test_vectorised_matches_scalar_after_decay_and_growth(self):
         rng = np.random.default_rng(3)
         p = warm_profile(rng.exponential(3.0, 2000))
         p.decay_step()
         p.update(rng.uniform(0.0, 40.0, 500))  # forces span growth
-        ages = rng.uniform(-2.0, 50.0, 200)
-        many = p.completeness_many(ages)
+        ages = rng.uniform(-2.0, 50.0, 200).tolist()
+        listed = np.array(p.completeness_list(ages))
         scalar = np.array([p.completeness(a) for a in ages])
-        np.testing.assert_array_equal(many, scalar)
+        np.testing.assert_array_equal(listed, scalar)
+        np.testing.assert_array_equal(listed, completeness_many(p, ages))
 
     def test_span_grows_to_cover_large_delays(self):
         p = DelayProfile(initial_span=8.0)
@@ -235,12 +235,26 @@ def _resolve(spec, span, num_bins):
     initial_span=st.sampled_from([0.7, 3.0, 8.0, 10.0, 12.3]),
     batches=st.lists(st.lists(_delay_specs, min_size=1, max_size=40), min_size=1, max_size=6),
     decay_between=st.booleans(),
+    length=st.sampled_from(
+        [None, SCALED_INDEX_MIN - 1, SCALED_INDEX_MIN, SCALED_INDEX_MIN + 1, 2500]
+    ),
 )
-def test_bincount_update_equals_histogram(num_bins, initial_span, batches, decay_between):
+def test_bincount_update_equals_histogram(
+    num_bins, initial_span, batches, decay_between, length
+):
+    """Both binning paths: ``length`` pads each batch, cyclically, with
+    every bin edge ``k * span / num_bins`` and the delay one ulp below
+    the span, to a length on either side of :data:`SCALED_INDEX_MIN` or
+    at it."""
     fast = DelayProfile(num_bins=num_bins, initial_span=initial_span, decay=0.9)
     ref = DelayProfile(num_bins=num_bins, initial_span=initial_span, decay=0.9)
     for specs in batches:
         delays = np.array([_resolve(s, fast._span, num_bins) for s in specs])
+        if length is not None:
+            span = fast._span
+            edges = np.arange(num_bins) * (span / num_bins)
+            pad = np.concatenate((delays, edges, [np.nextafter(span, 0.0)]))
+            delays = np.resize(pad, length)
         fast.update(delays)
         histogram_update(ref, delays)
         assert fast._span == ref._span
@@ -251,10 +265,33 @@ def test_bincount_update_equals_histogram(num_bins, initial_span, batches, decay
             ref.decay_step()
 
 
+def completeness_many(p, ages):
+    """The numpy evaluation of :meth:`DelayProfile.completeness` over an
+    array of ages that :meth:`DelayProfile.completeness_list` replaced."""
+    ages = np.asarray(ages, dtype=float)
+    if not p.is_warm:
+        return np.ones_like(ages)
+    cdf, total = p._cdf()
+    if total <= 0.0:
+        return np.ones_like(ages)
+    bin_width = p._span / p.num_bins
+    with np.errstate(invalid="ignore"):
+        pos = ages / bin_width
+        idx = np.clip(pos.astype(np.int64), 0, p.num_bins)
+        below = np.where(idx > 0, cdf[np.maximum(idx, 1) - 1], 0.0)
+        inside = np.where(
+            idx < p.num_bins,
+            p._counts[np.minimum(idx, p.num_bins - 1)] * (pos - idx),
+            0.0,
+        )
+        vals = np.minimum(1.0, (below + inside) / total)
+    return np.where(ages <= 0.0, 0.0, np.where(ages >= p._span, 1.0, vals))
+
+
 def numpy_mean_completeness(p, ages):
     """The idiom :meth:`DelayProfile.mean_completeness` replaced."""
     with np.errstate(invalid="ignore"):
-        return float(np.mean(np.clip(p.completeness_many(np.asarray(ages)), 0.0, 1.0)))
+        return float(np.mean(np.clip(completeness_many(p, ages), 0.0, 1.0)))
 
 
 def assert_same_float(got, want):
@@ -310,11 +347,11 @@ def apply_op(p, op, rng, snapshot):
     ops=st.lists(st.sampled_from(_PROFILE_OPS), max_size=6),
 )
 def test_mean_completeness_equals_numpy_idiom(state, seed, fracs, ops):
-    """Bit-identical for cold, warm and NaN-poisoned profiles, ages at
-    or below zero, at or past the span, on bin edges, and NaN — and
-    still after every update, grow, decay, restore or poisoning write
-    between two calls (the scalar path's list copies follow the CDF
-    cache)."""
+    """The mean and each listed value are bit-identical for cold, warm
+    and NaN-poisoned profiles, ages at or below zero, at or past the
+    span, on bin edges, and NaN — and still after every update, grow,
+    decay, restore or poisoning write between two calls (the scalar
+    path's list copies follow the CDF cache)."""
     rng = np.random.default_rng(seed)
     p = DelayProfile(min_weight=50.0)
     if state == "cold":
@@ -336,6 +373,8 @@ def test_mean_completeness_equals_numpy_idiom(state, seed, fracs, ops):
         want = numpy_mean_completeness(p, ages)
         assert_same_float(p.mean_completeness(ages), want)
         assert_same_float(p.mean_completeness(np.asarray(ages)), want)
+        for got, ref in zip(p.completeness_list(ages), completeness_many(p, ages)):
+            assert_same_float(got, float(ref))
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,18 +11,20 @@ held to.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.pecj import PECJoin
+from repro.core.persistence import checkpoint_operator
 from repro.faults.inject import apply_faults
 from repro.faults.plan import reference_burst_plan
-from repro.joins.arrays import AggKind
+from repro.joins.arrays import AggKind, BatchArrays
 from repro.joins.runner import run_operator
 from repro.joins.sliding import run_sliding_operator
 from repro.streams.datasets import make_dataset
 from repro.streams.disorder import UniformDelay
 from repro.streams.sources import make_disordered_arrays
-from tests.oracles.pecj_loop import ReferencePECJoin
+from tests.oracles.pecj_loop import PerBucketPECJoin, ReferencePECJoin
 
 WLEN = 10.0
 
@@ -125,3 +127,73 @@ def test_sliding_grids_with_nonzero_origins():
         )
 
     assert record_bytes(run_slide(PECJoin)) == record_bytes(run_slide(ReferencePECJoin))
+
+
+def _inexact_grid():
+    """``(origin, window_length, edges)`` of a grid where rounding ends
+    some bucket away from the next one's start (``edges`` lists each such
+    ``(end_b, start_b+1)`` pair over the first 400 windows)."""
+    for wlen in (0.7, 1.1, 1.3, 2.9, 3.3):
+        blen = wlen / 10
+        for origin in (0.1, 0.3, 0.35, 0.7):
+            edges = []
+            for b in range(4000):
+                end = origin + b * blen + blen
+                nxt = origin + (b + 1) * blen
+                if end != nxt:
+                    edges.append((end, nxt))
+            if len(edges) >= 20:
+                return origin, wlen, edges
+    return None
+
+
+def _edge_arrays(origin, wlen, edges, seed=11):
+    """A random stream plus tuples on every inexact bucket edge, on each
+    window's end and one ulp either side of both."""
+    rng = np.random.default_rng(seed)
+    duration = 400 * wlen
+    n = 8000
+    base = rng.uniform(origin, origin + duration, n)
+    window_ends = [origin + w * wlen + wlen for w in range(400)]
+    marks = np.array([v for pair in edges for v in pair] + window_ends)
+    marks = np.concatenate(
+        (marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf))
+    )
+    event = np.concatenate((base, marks))
+    m = len(event)
+    arrival = event + rng.uniform(0.0, 0.8 * wlen, m)
+    return BatchArrays(
+        event, arrival, rng.integers(0, 10, m), rng.uniform(0.0, 1.0, m),
+        rng.random(m) < 0.5,
+    )
+
+
+def test_inexact_bucket_edges_and_clipped_window_ends():
+    """Byte-identical to the per-bucket loop on a grid whose bucket ends
+    miss the next start by an ulp, with tuples on those edges, on the
+    clipped window ends and one ulp either side — over a whole run and a
+    run split by a mid-run checkpoint."""
+    found = _inexact_grid()
+    assert found is not None, "no grid with inexact bucket edges"
+    origin, wlen, edges = found
+    arrays = _edge_arrays(origin, wlen, edges)
+    t_start, t_mid, t_end = origin + 20 * wlen, origin + 150 * wlen, origin + 390 * wlen
+
+    def run_grid(cls, t0, t1, resume_state=None):
+        op = cls(backend="aema", origin=origin)
+        result = run_operator(
+            op, arrays, wlen, wlen, t_start=t0, t_end=t1, warmup_windows=0,
+            origin=origin, resume_state=resume_state,
+        )
+        return op, result
+
+    _, reference = run_grid(PerBucketPECJoin, t_start, t_end)
+    _, fused = run_grid(PECJoin, t_start, t_end)
+    assert record_bytes(fused) == record_bytes(reference)
+    assert any(r.value != r.expected for r in fused.records)
+
+    op1, first = run_grid(PECJoin, t_start, t_mid)
+    snapshot = json.loads(json.dumps(checkpoint_operator(op1)))
+    _, second = run_grid(PECJoin, t_mid, t_end, resume_state=snapshot)
+    split = json.loads(record_bytes(first)) + json.loads(record_bytes(second))
+    assert split == json.loads(record_bytes(reference))

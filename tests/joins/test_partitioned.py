@@ -96,6 +96,15 @@ class TestSpaceSavingSketch:
         sk.offer_batch(np.array([5, 3, 9, 3, 5, 9]))
         assert [k for k, _, _ in sk.top(3)] == [3, 5, 9]
 
+    def test_max_count_is_top_one_count_on_ties(self):
+        sk = SpaceSavingSketch(capacity=4)
+        assert sk.max_count() is None and sk.top(1) == []
+        sk.offer_batch(np.array([5, 3, 9, 3, 5, 9, 7]))
+        sk.decay(0.9)
+        assert sk.max_count() == sk.top(1)[0][1] == 2 * 0.9
+        sk.offer_batch(np.array([11, 12]))  # evicts at capacity
+        assert sk.max_count() == sk.top(1)[0][1]
+
 
 class TestPartitionMap:
     def test_validation(self):

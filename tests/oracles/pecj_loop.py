@@ -1,14 +1,15 @@
 """Per-bucket reference loop for PECJ's fused bucket sweeps.
 
-:class:`~repro.core.pecj.PECJoin` counts a run of buckets with one
-``searchsorted`` + cumulative-sum sweep and feeds each finalization batch
-to the rate estimators in one ``observe_many`` call per side.  Before
-that it walked the buckets one at a time: one slice-and-mask count and
-one scalar completeness lookup per bucket, one ``observe`` per bucket and
-side.  :class:`PerBucketPECJoin` keeps that loop by overriding the two
-steps that use the sweep — bucket finalization and the current window's
-bucket sweep — and the equivalence tests require every emitted record to
-match the fused operator's bit for bit.
+:class:`~repro.core.pecj.PECJoin` keeps per-bucket available counts,
+advanced by one ``bincount`` per drain, reads a run of buckets off them
+and feeds each finalization batch to the rate estimators in one
+``observe_many`` call per side.  Before that it walked the buckets one at
+a time: one slice-and-mask count and one scalar completeness lookup per
+bucket, one ``observe`` per bucket and side.  :class:`PerBucketPECJoin`
+keeps that loop by overriding the steps that use the counts — the drain
+that advances them, bucket finalization and the current window's bucket
+sweep — and the equivalence tests require every emitted record to match
+the fused operator's bit for bit.
 
 :class:`ReferencePECJoin` adds two pieces of work the fused operator
 skips: every drain gathers and clamps its delays from the batch columns
@@ -32,6 +33,9 @@ __all__ = ["PerBucketPECJoin", "ReferencePECJoin"]
 
 class PerBucketPECJoin(PECJoin):
     """:class:`~repro.core.pecj.PECJoin` with the per-bucket reference loop."""
+
+    def _drain_counts(self, arrays: BatchArrays, hi: int) -> None:
+        """No drained counts: the loop counts each bucket from the batch."""
 
     def _bucket_counts(
         self, arrays: BatchArrays, start: float, end: float, now: float
@@ -79,10 +83,10 @@ class ReferencePECJoin(PerBucketPECJoin):
         self._wants_context = True
 
     def _ingest_delays(self, arrays: BatchArrays, now: float) -> None:
-        hi = int(np.searchsorted(self._comp_sorted, now, side="right"))
+        hi = int(np.searchsorted(arrays.sorted_completion(), now, side="right"))
         if hi <= self._ingest_cursor:
             return
-        idx = self._comp_order[self._ingest_cursor : hi]
+        idx = arrays.completion_order()[self._ingest_cursor : hi]
         delays = arrays.arrival[idx] - arrays.event[idx]
         self.profile.update(np.maximum(delays, 0.0))
         self._ingest_cursor = hi

@@ -70,5 +70,9 @@ class ScanSpaceSavingSketch:
         )[: max(k, 0)]
         return [(key, cnt, self._errors[key]) for key, cnt in items]
 
+    def max_count(self) -> float | None:
+        top = self.top(1)
+        return top[0][1] if top else None
+
     def __len__(self) -> int:
         return len(self._counts)
