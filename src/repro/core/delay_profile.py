@@ -28,7 +28,7 @@ __all__ = ["DelayProfile", "SCALED_INDEX_MIN"]
 
 #: Batch length from which :meth:`DelayProfile.update` bins by numpy's
 #: scaled index instead of ``searchsorted`` (see its docstring).
-SCALED_INDEX_MIN = 1000
+SCALED_INDEX_MIN = 128
 
 
 def _pairwise(vals: list[float], lo: int, n: int) -> float:
@@ -140,12 +140,15 @@ class DelayProfile:
         each delay to an index and then moves it by one bin where
         rounding broke ``edges[i] <= d < edges[i + 1]`` against the same
         edges.  The scaled index spends a fixed handful of numpy calls
-        (~7 µs) where ``searchsorted`` starts at ~1 µs but grows faster
-        per delay; measured with numpy 2.4 on 0-8 ms delays over 128
-        bins, they cost the same between 800 and 1,000 delays, and at
-        2,000 (a batch drain of the paper's Q1, a push flush) the scaled
-        index takes a quarter of ``searchsorted``'s time, while at 50 (a
-        serving shard's ingest chunk) it takes six times as long.
+        (~7.5 µs) where ``searchsorted`` starts lower but grows faster
+        per delay.  Timed with numpy 2.4 on the delays the benchmark
+        workloads feed in (128 bins, 2-vCPU VM), per batch: 32 delays
+        3.1 against 7.8 µs, 64 4.8 against 7.6, 128 7.4-8.3 against
+        7.7-8.3 (the crossover), 256 14 against 9, 1,000 52 against 14.
+        A serving shard's ingest chunk (~50 delays) stays on
+        ``searchsorted``; a batch drain of the paper's Q1 and a push flush
+        (~2,000) and most per-hot-key chunks of the partitioned operator
+        (median ~600) take the scaled index.
         """
         delays = np.asarray(delays, dtype=float)
         if delays.size == 0:

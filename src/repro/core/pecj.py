@@ -493,9 +493,6 @@ class PECJoin(StreamJoinOperator, PECJCore):
         self._bucket_mids = 0.5 * (starts[:-1] + ends[:-1])
         #: Row ``i``: available S and R tuples of bucket ``lo + i``.
         self._avail_counts = counts
-        # Rounding can end a bucket an ulp before or after the next one
-        # starts; a tuple there counts in no bucket or in two.
-        self._grid_clean = bool((ends[:-1] == starts[1:]).all())
 
     def _bucket_rows(self, first: int, stop: int) -> slice:
         """Rows of the per-bucket arrays for buckets ``[first, stop)``,
@@ -532,16 +529,14 @@ class PECJoin(StreamJoinOperator, PECJCore):
         k += events >= starts[k + 1]
         codes = k + k
         codes += arrays.is_r[idx]
-        if not self._grid_clean:
-            # Keep a tuple in its bucket only before the bucket's end, and
-            # add it to the previous bucket while that one has not ended
-            # (the grid's margin keeps k >= 1).
-            ends = self._bucket_ends
-            codes = np.concatenate(
-                (codes[events < ends[k]], codes[events < ends[k - 1]] - 2)
-            )
-            if not len(codes):
-                return
+        # Rounding can end a bucket an ulp before or after the next one
+        # starts, so a tuple counts in its bucket only before that
+        # bucket's end, and also in the previous bucket while that one
+        # has not ended (the grid's margin keeps k >= 1).
+        ends = self._bucket_ends
+        codes = np.concatenate((codes[events < ends[k]], codes[events < ends[k - 1]] - 2))
+        if not len(codes):
+            return
         base = int(codes.min())
         n = np.bincount(codes - base)
         flat = self._avail_counts.reshape(-1)[base : base + len(n)]

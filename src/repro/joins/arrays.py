@@ -315,15 +315,15 @@ class BatchArrays:
 
     def sorted_completion(self) -> np.ndarray:
         """``completion[completion_order()]``: the completion times in
-        ascending order (cached per completion version; read-only by
-        contract, since the PECJ drain cursor and :meth:`drain_function`
-        share it).
+        ascending order (cached per completion version and read-only,
+        since the PECJ drain cursor and :meth:`drain_function` share it).
 
         ``apply_pipeline_costs`` presets it with the completions it
         computed in arrival order whenever it presets the order.
         """
         if self._sorted_completion is None:
             self._sorted_completion = self.completion[self.completion_order()]
+            self._sorted_completion.setflags(write=False)
         return self._sorted_completion
 
     #: Cap on cached WindowAggregator grids per batch.  Sliding adapters

@@ -174,5 +174,6 @@ def apply_pipeline_costs(
         # leave completion_order() to sort.  ``done`` is then the
         # completion column in that order.
         arrays._completion_order = order
+        done.setflags(write=False)
         arrays._sorted_completion = done
     arrays._cost_signature = signature

@@ -253,7 +253,7 @@ def test_bincount_update_equals_histogram(
         if length is not None:
             span = fast._span
             edges = np.arange(num_bins) * (span / num_bins)
-            pad = np.concatenate((delays, edges, [np.nextafter(span, 0.0)]))
+            pad = np.concatenate((delays, [np.nextafter(span, 0.0)], edges))
             delays = np.resize(pad, length)
         fast.update(delays)
         histogram_update(ref, delays)

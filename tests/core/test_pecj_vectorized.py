@@ -19,11 +19,13 @@ from repro.core.persistence import checkpoint_operator
 from repro.faults.inject import apply_faults
 from repro.faults.plan import reference_burst_plan
 from repro.joins.arrays import AggKind, BatchArrays
+from repro.joins.pipeline import CostModel, apply_pipeline_costs
 from repro.joins.runner import run_operator
 from repro.joins.sliding import run_sliding_operator
 from repro.streams.datasets import make_dataset
 from repro.streams.disorder import UniformDelay
 from repro.streams.sources import make_disordered_arrays
+from repro.streams.windows import TumblingWindows
 from tests.oracles.pecj_loop import PerBucketPECJoin, ReferencePECJoin
 
 WLEN = 10.0
@@ -197,3 +199,48 @@ def test_inexact_bucket_edges_and_clipped_window_ends():
     _, second = run_grid(PECJoin, t_mid, t_end, resume_state=snapshot)
     split = json.loads(record_bytes(first)) + json.loads(record_bytes(second))
     assert split == json.loads(record_bytes(reference))
+
+
+def _drive_cutoffs(cls, arrays, wlen, origin, steps):
+    """Call ``process_window`` by hand for ``(window index, cutoff)``
+    steps, returning the outputs and the counted-prefix length after each."""
+    apply_pipeline_costs(arrays, "pecj", CostModel(), slack=wlen)
+    op = cls(backend="aema", origin=origin)
+    op.prepare(arrays, wlen, wlen)
+    op.bind_aggregator(arrays.aggregator(wlen, origin))
+    windows = TumblingWindows(wlen, origin=origin)
+    outputs, cursors = [], []
+    for w, cutoff in steps:
+        outputs.append(list(op.process_window(arrays, windows.window_at(w), cutoff)))
+        outputs[-1].append(op.last_interval)
+        cursors.append(op._count_cursor)
+    return json.dumps(outputs), cursors
+
+
+@pytest.mark.parametrize("grid", ["exact", "inexact"])
+def test_cutoffs_that_go_back(grid):
+    """A ``now`` that steps back by several buckets (as under guard
+    widening or PRJ) subtracts the overhang from the drained counts; the
+    outputs stay byte-identical to the per-bucket loop."""
+    if grid == "exact":
+        origin, wlen = 0.0, WLEN
+        arrays = micro_arrays(seed=12)
+        blen = wlen / 10
+        assert all(origin + b * blen + blen == origin + (b + 1) * blen for b in range(2000))
+    else:
+        origin, wlen, edges = _inexact_grid()
+        arrays = _edge_arrays(origin, wlen, edges)
+        blen = wlen / 10
+    rng = np.random.default_rng(3)
+    steps = []
+    for w in range(20, 140):
+        start = origin + w * wlen
+        steps.append((w, start + wlen))
+        if w % 3 == 0:
+            # Back by 1.5 to 25 buckets, into earlier windows too.
+            steps.append((w, start + wlen - rng.uniform(1.5, 25.0) * blen))
+    fused, cursors = _drive_cutoffs(PECJoin, arrays, wlen, origin, steps)
+    reference, _ = _drive_cutoffs(PerBucketPECJoin, arrays, wlen, origin, steps)
+    assert fused == reference
+    assert sum(b < a for a, b in zip(cursors, cursors[1:])) >= 30
+    assert sum(row[2] is not None for row in json.loads(fused)) > len(steps) // 2

@@ -201,6 +201,22 @@ class TestOrders:
             arrays.completion_order(), np.argsort(arrays.completion, kind="stable")
         )
 
+    @pytest.mark.parametrize("method", ["wmj", "ksj", "pecj", "zero"])
+    @pytest.mark.parametrize("make", [tied_arrays, make_arrays])
+    def test_sorted_completion_is_the_stably_sorted_column(self, method, make):
+        """Whether preset by the pipeline or gathered on demand, the shared
+        sorted column is the completions in stable argsort order, cached
+        and read-only."""
+        arrays = make()
+        apply_pipeline_costs(arrays, method, CostModel(), slack=10.0)
+        column = arrays.sorted_completion()
+        expected = arrays.completion[np.argsort(arrays.completion, kind="stable")]
+        assert np.array_equal(column, expected)
+        assert arrays.sorted_completion() is column
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+
     @pytest.mark.parametrize("method", ["wmj", "pecj", "zero"])
     def test_distinct_completions_reuse_the_arrival_order(self, method):
         arrays = make_arrays()
@@ -210,11 +226,14 @@ class TestOrders:
     def test_direct_write_drops_the_reused_order(self):
         arrays = make_arrays()
         apply_pipeline_costs(arrays, "pecj", CostModel())
+        preset = arrays.sorted_completion()
         arrays.completion[...] = -arrays.arrival
         arrays.mark_completion_dirty()
         assert np.array_equal(
             arrays.completion_order(), np.argsort(-arrays.arrival, kind="stable")
         )
+        assert arrays.sorted_completion() is not preset
+        assert np.array_equal(arrays.sorted_completion(), np.sort(-arrays.arrival))
 
 
 class TestStrictlyIncreasing:
